@@ -26,7 +26,6 @@ from .gauges import (
 )
 from .kernels import (
     ConnectednessKernelSpec,
-    DenseKernel,
     GeometricKernelSpec,
     JengaKernelSpec,
     NotRepresentable,
@@ -68,7 +67,7 @@ __all__ = [
     "FactorizedTransform", "GaugeSpec", "ProductDistribution", "eta_from_lambda",
     "marginalization_residual", "penalty_dense", "penalty_entry",
     "projection_dense", "projection_entry", "transform_rows",
-    "ConnectednessKernelSpec", "DenseKernel", "GeometricKernelSpec",
+    "ConnectednessKernelSpec", "GeometricKernelSpec",
     "JengaKernelSpec", "NotRepresentable", "ProductKernel", "VcKernel",
     "induced_kernel_diag_lambda_pi", "induced_vc_from_order_diag",
     "jenga_block_inverse", "order_diag_from_vc", "wh_induced_entry",

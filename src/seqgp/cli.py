@@ -61,6 +61,7 @@ _TOP_KEYS = {"alphabet", "length", "kernel", "gauge", "noise_variance", "transfo
 _OUTPUT_KEYS = {"covariance", "precision"}
 _TRANSFORM_KEYS = {"kind", "reference"}
 _SIMULATE_KEYS = {"samples", "source", "neighborhoods"}
+_JSON_NAMES = {str: "string", bool: "boolean", list: "list", dict: "object"}
 
 
 @dataclass
@@ -91,58 +92,58 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         for key in ("alphabet", "length"):
-            if key not in raw:
+            if raw.get(key) is None:
                 raise ConfigError(f"config needs {key!r}")
-        space = SequenceSpace(str(raw["alphabet"]), int(raw["length"]))
+        space = SequenceSpace(_typed(raw, "alphabet", str), _integer("length", raw["length"]))
 
         noise = raw.get("noise_variance")
         if noise is not None:
-            noise = float(noise)
+            noise = _number("noise_variance", noise)
             if not noise > 0:
                 raise ConfigError(f"noise_variance must be positive, got {noise}")
 
-        transform = raw.get("transform", {})
-        if not isinstance(transform, dict):
-            raise ConfigError("transform block must be a mapping")
-        unknown = set(transform) - _TRANSFORM_KEYS
-        if unknown:
-            raise ConfigError(f"unknown transform keys {sorted(unknown)}")
-        kind = transform.get("kind", "gauge-weights")
+        transform = _block(raw, "transform", _TRANSFORM_KEYS)
+        kind = _typed(transform, "kind", str, "gauge-weights")
         if kind not in TRANSFORM_KINDS:
             raise ConfigError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
-        reference = transform.get("reference")
+        reference = _typed(transform, "reference", str, None)
+        if reference is not None and kind in ("gauge-weights", "hierarchical", "zero-sum"):
+            raise ConfigError(f"transform kind {kind!r} takes no reference sequence")
         if kind in ("walsh-hadamard",) and space.alpha != 2:
             raise ConfigError(f"transform kind {kind!r} requires a two-character alphabet")
 
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            raise ConfigError("output block must be a mapping")
-        unknown = set(output) - _OUTPUT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown output keys {sorted(unknown)}")
-        precision = int(output.get("precision", 10))
+        output = _block(raw, "output", _OUTPUT_KEYS)
+        precision = _integer("precision", output.get("precision", 10))
         if not 1 <= precision <= 17:
             raise ConfigError(f"precision must be in 1..17, got {precision}")
 
-        jitter = raw.get("jitter")
-        jitter = JITTER_LADDER if jitter is None else tuple(float(j) for j in jitter)
+        jitter = _typed(raw, "jitter", list, None)
+        if jitter is None:
+            jitter = JITTER_LADDER
+        else:
+            jitter = tuple(_number("jitter", v) for v in jitter)
+            if not jitter or any(v < 0 for v in jitter):
+                raise ConfigError(f"jitter must be a nonempty list of nonnegative numbers, "
+                                  f"got {raw['jitter']!r}")
 
-        simulate = raw.get("simulate", {})
-        if not isinstance(simulate, dict):
-            raise ConfigError("simulate block must be a mapping")
-        unknown = set(simulate) - _SIMULATE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown simulate keys {sorted(unknown)}")
+        simulate = _block(raw, "simulate", _SIMULATE_KEYS)
+        samples = _integer("samples", simulate.get("samples", 1))
+        if samples < 0:
+            raise ConfigError(f"samples must be nonnegative, got {samples}")
+        _typed(simulate, "source", str, "function")
+        hoods = _typed(simulate, "neighborhoods", list, [])
+        if not all(isinstance(h, list) and all(_is_integer(q) for q in h) for h in hoods):
+            raise ConfigError("neighborhoods must be a list of lists of positions")
 
         return cls(
             space=space,
-            kernel_cfg=raw.get("kernel"),
-            gauge_cfg=raw.get("gauge"),
+            kernel_cfg=_typed(raw, "kernel", dict, None),
+            gauge_cfg=_typed(raw, "gauge", dict, None),
             noise_variance=noise,
             transform_kind=kind,
             reference=reference,
             jitter=jitter,
-            covariance=bool(output.get("covariance", False)),
+            covariance=_typed(output, "covariance", bool, False),
             precision=precision,
             simulate=simulate,
         )
@@ -161,6 +162,44 @@ class RunConfig:
         if self.noise_variance is None:
             raise ConfigError("this subcommand needs 'noise_variance' in the config")
         return self.noise_variance
+
+
+def _typed(block: dict, key: str, kind: type, default=None):
+    """``block[key]`` checked to be a ``kind``; ``default`` when it is absent or null."""
+    value = block.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(key: str, value) -> int:
+    if not _is_integer(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    try:
+        number = float(value) if _is_integer(value) or isinstance(value, float) else math.nan
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _block(raw: dict, key: str, allowed: set) -> dict:
+    block = _typed(raw, key, dict, {})
+    unknown = set(block) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
+    return block
 
 
 # -- input parsing ------------------------------------------------------------
@@ -294,24 +333,24 @@ def _cmd_posterior(args, cfg: RunConfig):
     data = parse_training_csv(args.data, space, cfg.training_noise())
     keys = parse_query(_query_entries(args), cfg.transform_kind, space)
     gauge = cfg.gauge() if cfg.transform_kind in ("gauge-weights", "hierarchical") else None
-    transform = transform_rows(cfg.transform_kind, space, keys, gauge=gauge,
-                               reference=cfg.reference)
-    if isinstance(kernel, ProductKernel):
-        if cfg.transform_kind == "gauge-weights":
-            post = gauge_weight_posterior(gauge, kernel, data, transform.keys,
-                                          want_covariance=cfg.covariance,
-                                          ladder=cfg.jitter)
-        else:
+    if isinstance(kernel, ProductKernel) and cfg.transform_kind == "gauge-weights":
+        post = gauge_weight_posterior(gauge, kernel, data, keys,
+                                      want_covariance=cfg.covariance, ladder=cfg.jitter)
+    else:
+        transform = transform_rows(cfg.transform_kind, space, keys, gauge=gauge,
+                                   reference=cfg.reference)
+        if isinstance(kernel, ProductKernel):
             post = transform_posterior(
                 TransformPosteriorRequest(kernel, data, transform,
                                           want_covariance=cfg.covariance),
                 ladder=cfg.jitter)
-    else:
-        # isotropic kernels lack the per-position factorization; fall back to
-        # the dense route under the size guard
-        space.require_dense(space.n_sequences, "dense posterior fallback")
-        post = dense_transform_posterior(transform.dense_matrix(space), kernel.dense(),
-                                         data, space, labels=transform.labels)
+        else:
+            # isotropic kernels lack the per-position factorization; fall back to
+            # the dense route under the size guard
+            space.require_dense(space.n_sequences, "dense posterior fallback")
+            post = dense_transform_posterior(transform.dense_matrix(space), kernel.dense(),
+                                             data, space, labels=transform.labels,
+                                             ladder=cfg.jitter)
     with _Writer(args.out) as fh:
         _emit_posterior_table(fh, "posterior", post, cfg.covariance, cfg.precision,
                               args.json, "label")
@@ -405,9 +444,7 @@ def _cmd_build_regularizer(args, cfg: RunConfig):
 
 def _cmd_simulate(args, cfg: RunConfig):
     space = cfg.space
-    n = int(cfg.simulate.get("samples", 1))
-    if n < 0:
-        raise ConfigError(f"samples must be nonnegative, got {n}")
+    n = cfg.simulate.get("samples", 1)
     source = cfg.simulate.get("source", "function")
     rng = np.random.default_rng(args.seed)
     space.require_dense(space.n_sequences, "prior simulation")

@@ -502,5 +502,6 @@ def gauge_from_config(cfg: dict, space: SequenceSpace) -> GaugeSpec:
         else:
             raise ConfigError(f"unsupported pi specification {pi_cfg!r}")
         return GaugeSpec.from_lambda(float(lam), pi)
-    except (ParameterError, DimensionError) as exc:
+    except (TypeError, ValueError) as exc:
+        # ValueError covers ParameterError and DimensionError
         raise ConfigError(str(exc)) from exc

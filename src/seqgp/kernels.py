@@ -74,21 +74,16 @@ class VcKernel:
         return float(scale * ((1.0 / self.lambdas) @ self._kraw[:, d]))
 
     def matrix(self, X, Y=None) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        Y = X if Y is None else np.asarray(Y, dtype=np.int64)
-        D = (X[:, None, :] != Y[None, :, :]).sum(axis=2)
         table = np.array([self.entry(d) for d in range(self.space.length + 1)])
-        return table[D]
+        return _lookup_by_distance(table, X, Y, self.space.alpha)
 
     def dense(self) -> np.ndarray:
         X = self.space.sequences_array()
         return self.matrix(X)
 
     def dense_inverse(self) -> np.ndarray:
-        X = self.space.sequences_array()
-        D = (X[:, None, :] != X[None, :, :]).sum(axis=2)
         table = np.array([self.inverse_entry(d) for d in range(self.space.length + 1)])
-        return table[D]
+        return _lookup_by_distance(table, self.space.sequences_array(), None, self.space.alpha)
 
 
 class ProductKernel:
@@ -128,11 +123,36 @@ class ProductKernel:
         return float(value)
 
     def matrix(self, X, Y=None) -> np.ndarray:
+        """``K[n, m] = prod_p blocks[p, X[n, p], Y[m, p]]`` as one log-domain GEMM.
+
+        ``log|K|`` is the per-position log-magnitude rows of ``X`` against the
+        one-hot encoding of ``Y``.  Positions whose block has a nonpositive
+        entry add two integer counts, each one more GEMM over those positions
+        only: negative factors, whose parity gives the sign, and zero
+        factors, any of which zeroes the entry.
+        """
         X = np.asarray(X, dtype=np.int64)
         Y = X if Y is None else np.asarray(Y, dtype=np.int64)
-        out = np.ones((X.shape[0], Y.shape[0]))
-        for p in range(self.space.length):
-            out *= self.blocks[p][np.ix_(X[:, p], Y[:, p])]
+        blocks, alpha = self.blocks, self.space.alpha
+        oh_y = _one_hot(Y, alpha)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(blocks))
+        log_abs[blocks == 0] = 0.0  # zeroed below by the zero channel
+        out = _matmul_nt(_position_rows(log_abs, X), oh_y)
+        np.exp(out, out=out)
+        nonpos = np.flatnonzero((blocks <= 0).any(axis=(1, 2)))
+        if nonpos.size:
+            oh_nonpos = oh_y[:, (nonpos[:, None] * alpha + np.arange(alpha)).ravel()]
+            neg = _position_rows((blocks[nonpos] < 0).astype(float), X[:, nonpos])
+            zero = _position_rows((blocks[nonpos] == 0).astype(float), X[:, nonpos])
+            has_neg, has_zero = neg.any(), zero.any()
+            for rows in _row_blocks(X.shape[0], Y.shape[0]):
+                block = out[rows]
+                if has_neg:
+                    parity = _matmul_nt(neg[rows], oh_nonpos).astype(np.intp) & 1
+                    block *= np.take(_PARITY_SIGN, parity)
+                if has_zero:
+                    block[_matmul_nt(zero[rows], oh_nonpos) > 0] = 0.0
         return out
 
     def dense(self) -> np.ndarray:
@@ -148,28 +168,62 @@ class ProductKernel:
         return self._block_inv
 
 
-class DenseKernel:
-    """A kernel backed by an explicit dense matrix over the whole space."""
+_PARITY_SIGN = np.array([1.0, -1.0])
 
-    def __init__(self, matrix, space: SequenceSpace):
-        K = np.asarray(matrix, dtype=float)
-        if K.shape != (space.n_sequences, space.n_sequences):
-            raise DimensionError(f"dense kernel shape {K.shape} does not match the space")
-        self._K = K
-        self.space = space
+# entries per row block (8 MiB of floats) in the kernel steps that run block
+# by block, so that their temporaries stay small next to the output
+_BLOCK_ENTRIES = 1 << 20
 
-    def _indices(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        powers = self.space.alpha ** np.arange(self.space.length - 1, -1, -1, dtype=np.int64)
-        return X @ powers
 
-    def matrix(self, X, Y=None) -> np.ndarray:
-        ix = self._indices(X)
-        iy = ix if Y is None else self._indices(Y)
-        return self._K[np.ix_(ix, iy)]
+def _matmul_nt(a, b) -> np.ndarray:
+    """``a @ b.T`` as a C-ordered array, through scipy's BLAS.
 
-    def dense(self) -> np.ndarray:
-        return self._K
+    The factorization that consumes kernel matrices runs in scipy's
+    OpenBLAS; numpy bundles a second one with its own thread pool.  A numpy
+    product right before a scipy factorization made the two pools contend:
+    with two BLAS threads a t=200 posterior ran 2-4x slower and its timing
+    turned bimodal.
+    """
+    from scipy.linalg.blas import dgemm
+
+    return dgemm(1.0, b, a, trans_b=True).T
+
+
+def _one_hot(X, alpha: int) -> np.ndarray:
+    """``(n, length * alpha)`` indicators of the position-character pairs of ``X``."""
+    n, ell = X.shape
+    out = np.zeros((n, ell * alpha))
+    out[np.arange(n)[:, None], np.arange(ell) * alpha + X] = 1.0
+    return out
+
+
+def _position_rows(tables, X) -> np.ndarray:
+    """``(n, length * alpha)`` rows ``tables[p, X[n, p], :]``, concatenated over ``p``."""
+    n, ell = X.shape
+    return tables[np.arange(ell), X].reshape(n, ell * tables.shape[-1])
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices covering ``n_rows``, each of at most ``_BLOCK_ENTRIES`` entries or one row."""
+    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _lookup_by_distance(table, X, Y, alpha: int) -> np.ndarray:
+    """``table[d(X[n], Y[m])]`` with Hamming distances from one-hot GEMMs.
+
+    The match count ``OH_x OH_y'`` is exact in floats; it is computed and
+    looked up one row block at a time, so only the output is ``(n, m)``.
+    """
+    X = np.asarray(X, dtype=np.int64)
+    Y = X if Y is None else np.asarray(Y, dtype=np.int64)
+    by_matches = np.ascontiguousarray(np.asarray(table, dtype=float)[::-1])
+    oh_x, oh_y = _one_hot(X, alpha), _one_hot(Y, alpha)
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for rows in _row_blocks(X.shape[0], Y.shape[0]):
+        matches = _matmul_nt(oh_x[rows], oh_y).astype(np.intp)
+        np.take(by_matches, matches, out=out[rows], mode="clip")
+    return out
 
 
 # -- product-form parameterizations -----------------------------------------
@@ -484,5 +538,9 @@ def kernel_from_config(cfg: dict, space: SequenceSpace):
         if family == "wh":
             return wh_induced_product(cfg["rho"], space)
         return wt_induced_product(cfg["rho"], space)
-    except (ParameterError, DimensionError) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # ValueError covers ParameterError and DimensionError; both also
+        # cover parameters of the wrong JSON type
         raise ConfigError(f"invalid kernel parameters: {exc}") from exc

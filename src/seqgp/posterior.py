@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import JITTER_LADDER, SpdSolver
+from ._linalg import JITTER_LADDER
 from .errors import ParameterError
 from .gauges import FactorizedTransform, GaugeSpec, transform_rows
 from .kernels import ProductKernel
-from .regress import GaussianPosterior, TrainingData
-from .seqspace import SequenceSpace, Subsequence
+from .regress import GaussianPosterior, TrainingData, whitened_cross
+from .seqspace import Subsequence
 
 
 @dataclass
@@ -75,6 +75,12 @@ def mkmt_matrix(transform: FactorizedTransform, kernel: ProductKernel) -> np.nda
     return np.einsum("ipb,jpb->ijp", V, transform.factors).prod(axis=2)
 
 
+def mkmt_diagonal(transform: FactorizedTransform, kernel: ProductKernel) -> np.ndarray:
+    """Diagonal of :func:`mkmt_matrix`, without the ``(j, j)`` matrix."""
+    V = np.einsum("jpa,pab->jpb", transform.factors, kernel.blocks)
+    return np.einsum("jpb,jpb->jp", V, transform.factors).prod(axis=1)
+
+
 def transform_posterior(request: TransformPosteriorRequest,
                         ladder=JITTER_LADDER) -> GaussianPosterior:
     """Posterior of the transform coefficients under the product-kernel prior.
@@ -85,21 +91,13 @@ def transform_posterior(request: TransformPosteriorRequest,
     kernel, data, transform = request.kernel, request.data, request.transform
     labels = list(transform.labels)
     if data.t == 0:
-        if request.want_covariance:
-            prior = mkmt_matrix(transform, kernel)
-            return GaussianPosterior(labels, np.zeros(transform.n_rows), prior)
-        var = np.array([mkmt_entry(f, f, kernel) for f in transform.factors])
-        return GaussianPosterior(labels, np.zeros(transform.n_rows), None, var)
-    MK_X = mk_matrix(transform, kernel, data.X)
-    K_XX = kernel.matrix(data.X)
-    solver = SpdSolver(K_XX + data.noise_variance * np.eye(data.t), ladder)
-    mean = MK_X @ solver.solve(data.y)
-    QMK = solver.solve(MK_X.T)
+        mean, W = np.zeros(transform.n_rows), np.zeros((0, transform.n_rows))
+    else:
+        mean, W = whitened_cross(kernel.matrix(data.X), data,
+                                 mk_matrix(transform, kernel, data.X), ladder)
     if request.want_covariance:
-        cov = mkmt_matrix(transform, kernel) - MK_X @ QMK
-        return GaussianPosterior(labels, mean, cov)
-    var = np.array([mkmt_entry(f, f, kernel) for f in transform.factors])
-    var -= np.einsum("jt,tj->j", MK_X, QMK)
+        return GaussianPosterior(labels, mean, mkmt_matrix(transform, kernel) - W.T @ W)
+    var = mkmt_diagonal(transform, kernel) - np.einsum("tj,tj->j", W, W)
     return GaussianPosterior(labels, mean, None, var)
 
 
@@ -108,82 +106,11 @@ def gauge_weight_posterior(gauge: GaugeSpec, kernel: ProductKernel, data: Traini
                            ladder=JITTER_LADDER) -> GaussianPosterior:
     """Posterior over gauge-fixed weights for the requested subsequences.
 
-    Direct evaluation of the per-position reduction: with
-    ``zeta^p_c = eta * sum_c' pi^p_c' a^p_{c,c'}`` and
-    ``zbar^p = eta^2 * sum_{c,c'} pi^p_c pi^p_c' a^p_{c,c'}``, each
-    coefficient couples to a training sequence through a product of
-    ``a - zeta`` factors on its own positions and ``zeta`` factors elsewhere,
-    and the prior covariance of two coefficients is a four-way product over
-    position classes.  Must agree with :func:`transform_posterior` applied to
-    the gauge-weight rows; the conformance suite checks both against the
-    dense construction.
+    The gauge-weight rows of :func:`seqgp.gauges.transform_rows` through
+    :func:`transform_posterior`.  The conformance suite checks the result
+    against the dense construction and against the closed-form per-position
+    reduction in :func:`seqgp.oracle.gauge_weight_posterior_closed_form`.
     """
-    if not isinstance(kernel, ProductKernel):
-        raise ParameterError("gauge-weight posteriors need a product kernel")
-    if not subsequences:
-        raise ParameterError("need at least one subsequence")
-    space = kernel.space
-    subs = [space.validate_subsequence(s) for s in subsequences]
-    labels = [space.format_subsequence(s) for s in subs]
-    eta, pi = gauge.eta, gauge.pi.probs
-    ell, alpha = space.length, space.alpha
-
-    zeta = np.einsum("pab,pb->pa", kernel.blocks, pi) * eta          # (ell, alpha)
-    zbar = np.einsum("pa,pab,pb->p", pi, kernel.blocks, pi) * eta * eta   # (ell,)
-
-    # per-coefficient, per-position factor tables for the data coupling vectors
-    j = len(subs)
-    tables = np.empty((j, ell, alpha))
-    for i, sub in enumerate(subs):
-        tables[i] = zeta
-        for p, c in zip(sub.positions, sub.chars):
-            tables[i, p - 1] = kernel.blocks[p - 1][:, c] - zeta[p - 1]
-
-    def prior_cov_entry(a: int, b: int) -> float:
-        sa, sb = subs[a], subs[b]
-        in_a = dict(zip(sa.positions, sa.chars))
-        in_b = dict(zip(sb.positions, sb.chars))
-        value = 1.0
-        for p in range(1, ell + 1):
-            za, zb = zeta[p - 1], zbar[p - 1]
-            if p in in_a and p in in_b:
-                value *= zb - za[in_a[p]] - za[in_b[p]] + kernel.blocks[p - 1][in_a[p], in_b[p]]
-            elif p in in_a:
-                value *= za[in_a[p]] - zb
-            elif p in in_b:
-                value *= za[in_b[p]] - zb
-            else:
-                value *= zb
-        return value
-
-    if data.t == 0:
-        mean = np.zeros(j)
-        if want_covariance:
-            cov = np.array([[prior_cov_entry(a, b) for b in range(j)] for a in range(j)])
-            return GaussianPosterior(labels, mean, cov)
-        var = np.array([prior_cov_entry(a, a) for a in range(j)])
-        return GaussianPosterior(labels, mean, None, var)
-
-    Z = np.ones((j, data.t))
-    for p in range(ell):
-        Z *= tables[:, p, :][:, data.X[:, p]]
-    K_XX = kernel.matrix(data.X)
-    solver = SpdSolver(K_XX + data.noise_variance * np.eye(data.t), ladder)
-    mean = Z @ solver.solve(data.y)
-    QZ = solver.solve(Z.T)
-    if want_covariance:
-        prior = np.empty((j, j))
-        for a in range(j):
-            prior[a, a] = prior_cov_entry(a, a)
-            for b in range(a + 1, j):
-                prior[a, b] = prior[b, a] = prior_cov_entry(a, b)
-        return GaussianPosterior(labels, mean, prior - Z @ QZ)
-    var = np.array([prior_cov_entry(a, a) for a in range(j)])
-    var -= np.einsum("jt,tj->j", Z, QZ)
-    return GaussianPosterior(labels, mean, None, var)
-
-
-def gauge_weight_transform(gauge: GaugeSpec, space: SequenceSpace,
-                           subsequences: list[Subsequence]) -> FactorizedTransform:
-    """The gauge-weight rows as a generic factorized transform."""
-    return transform_rows("gauge-weights", space, subsequences, gauge=gauge)
+    transform = transform_rows("gauge-weights", kernel.space, subsequences, gauge=gauge)
+    return transform_posterior(
+        TransformPosteriorRequest(kernel, data, transform, want_covariance), ladder)

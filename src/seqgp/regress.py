@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import JITTER_LADDER, SpdSolver, inv_spd
-from .errors import DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 from .gauges import GaugeSpec, penalty_dense
 from .kernels import (
     ConnectednessKernelSpec,
@@ -47,6 +47,8 @@ class TrainingData:
             raise DimensionError(
                 f"{self.X.shape[0]} sequences but {self.y.shape} values"
             )
+        if not np.isfinite(self.y).all():
+            raise DataError("target values must be finite")
         if not self.noise_variance > 0:
             raise ParameterError(
                 f"noise variance must be positive, got {self.noise_variance}; "
@@ -114,6 +116,23 @@ def phi_rows(space: SequenceSpace, X) -> np.ndarray:
 # -- the four estimators -----------------------------------------------------
 
 
+def whitened_cross(gram: np.ndarray, data: TrainingData, cross: np.ndarray,
+                   ladder=JITTER_LADDER) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and whitened cross-covariance: the one exact conditioning step.
+
+    ``gram`` is a freshly built ``K_XX``; the noise variance is added to its
+    diagonal in place.  ``cross`` is ``(q, t)``: the prior covariance of ``q``
+    outputs with the training values.  With ``L L' = K_XX + noise I``, one
+    batched triangular solve gives ``[w_y | W] = L^{-1} [y | cross']``.  The
+    posterior mean is ``W' w_y`` and the posterior covariance is the prior
+    minus ``W' W``, symmetric by construction.
+    """
+    gram[np.diag_indices_from(gram)] += data.noise_variance
+    whitened = SpdSolver(gram, ladder).whiten(np.column_stack([data.y, cross.T]))
+    W = whitened[:, 1:]
+    return W.T @ whitened[:, 0], W
+
+
 def gp_posterior(kernel, data: TrainingData, query, space: SequenceSpace,
                  ladder=JITTER_LADDER) -> GaussianPosterior:
     """Exact Gaussian process posterior at the query sequences.
@@ -126,12 +145,8 @@ def gp_posterior(kernel, data: TrainingData, query, space: SequenceSpace,
     K_qq = kernel.matrix(Q)
     if data.t == 0:
         return GaussianPosterior(labels, np.zeros(len(Q)), K_qq)
-    K_qX = kernel.matrix(Q, data.X)
-    K_XX = kernel.matrix(data.X)
-    solver = SpdSolver(K_XX + data.noise_variance * np.eye(data.t), ladder)
-    mean = K_qX @ solver.solve(data.y)
-    cov = K_qq - K_qX @ solver.solve(K_qX.T)
-    return GaussianPosterior(labels, mean, cov)
+    mean, W = whitened_cross(kernel.matrix(data.X), data, kernel.matrix(Q, data.X), ladder)
+    return GaussianPosterior(labels, mean, K_qq - W.T @ W)
 
 
 def ridge_weights(penalty: np.ndarray, data: TrainingData, space: SequenceSpace,

@@ -266,6 +266,37 @@ class TestCliErrors:
         assert code == 4
         assert "error[NUMERICAL]" in err
 
+    @pytest.mark.parametrize("override", [
+        {"length": "two"},
+        {"length": 2.5},
+        {"alphabet": ["a", "b"]},
+        {"jitter": "abc"},
+        {"jitter": ["abc"]},
+        {"jitter": [-1e-8]},
+        {"noise_variance": "0.25"},
+        {"noise_variance": float("inf")},
+        {"output": {"covariance": "yes"}},
+        {"output": {"precision": "10"}},
+        {"transform": {"kind": 3}},
+        {"transform": {"kind": "gauge-weights", "reference": "ab"}},
+        {"simulate": {"samples": "three"}},
+        {"kernel": {"family": "connectedness", "z": "ab"}},
+        {"gauge": {"lambda": "inf", "pi": [["x", "y"], [0.5, 0.5]]}},
+    ])
+    def test_mistyped_config_field_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, override)
+        assert main(["posterior", "--config", cfg, "--coeffs=-"]) == 2
+        assert "error[CONFIG]" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.linalg loads on first use, not at import time
+        code = "import sys, seqgp.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestVcRouting:
     def test_vc_posterior_uses_dense_route_and_matches_oracle(self, tmp_path):
@@ -292,3 +323,35 @@ class TestVcRouting:
         for i, row in enumerate(rows):
             assert float(row[1]) == pytest.approx(want.mean[i], abs=1e-10)
             assert float(row[2]) == pytest.approx(np.sqrt(want.cov[i, i]), abs=1e-10)
+
+    def test_vc_singular_training_system_honors_jitter(self, tmp_path, capsys):
+        # duplicate rows under vanishing noise make the dense route's training
+        # system singular; the configured ladder decides whether it recovers
+        from seqgp import TrainingData, VcKernel, transform_rows
+        from seqgp.oracle import dense_transform_posterior
+
+        lambdas = [1.0, 0.5, 0.25, 0.125]
+        rows = [("AAA", 1.0), ("AAA", 1.0)]
+        base = {"alphabet": "ACGT", "length": 3,
+                "kernel": {"family": "vc", "lambdas": lambdas},
+                "noise_variance": 1e-300, "transform": {"kind": "zero-sum"}}
+        data = write_train(tmp_path, rows)
+
+        cfg = write_config(tmp_path, dict(base, jitter=[0.0]))
+        assert main(["posterior", "--config", cfg, "--data", data, "--coeffs=-,1:A"]) == 4
+        err = capsys.readouterr().err
+        assert "error[NUMERICAL]" in err and "Traceback" not in err
+
+        cfg = write_config(tmp_path, dict(base, jitter=[1e-6]))
+        out_path = tmp_path / "out.tsv"
+        assert main(["posterior", "--config", cfg, "--data", data, "--coeffs=-,1:A",
+                     "--out", str(out_path)]) == 0
+        sp = SequenceSpace("ACGT", 3)
+        keys = [sp.parse_subsequence(c) for c in ("-", "1:A")]
+        t = transform_rows("zero-sum", sp, keys)
+        train = TrainingData.from_sequences(sp, [s for s, _ in rows], [v for _, v in rows],
+                                            1e-300)
+        want = dense_transform_posterior(t.dense_matrix(sp), VcKernel(lambdas, sp).dense(),
+                                         train, sp, ladder=(1e-6,))
+        got = [l.split("\t") for l in out_path.read_text().splitlines()[2:]]
+        np.testing.assert_allclose([float(r[1]) for r in got], want.mean, rtol=1e-9)

@@ -39,3 +39,21 @@ def test_failure_carries_condition_diagnostic():
 def test_non_square_rejected():
     with pytest.raises(NumericalError):
         SpdSolver(np.ones((2, 3)))
+
+
+def test_nonfinite_matrix_rejected():
+    A = np.eye(3)
+    A[2, 1] = A[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="nonfinite"):
+        SpdSolver(A)
+
+
+def test_jitter_leaves_input_unchanged():
+    v = np.array([1.0, 2.0, 3.0])
+    A = np.outer(v, v)
+    before = A.copy()
+    solver = SpdSolver(A)
+    assert solver.jitter > 0
+    np.testing.assert_array_equal(A, before)
+    np.testing.assert_allclose(solver.lower @ solver.lower.T,
+                               A + solver.jitter * np.eye(3), atol=1e-12)

@@ -7,6 +7,7 @@ from seqgp import (
     SequenceSpace,
     TrainingData,
     build_theta_regularizer,
+    gauge_weight_posterior,
     gp_posterior,
 )
 from seqgp.gauges import b_matrix_dense, penalty_dense
@@ -14,6 +15,7 @@ from seqgp.oracle import (
     DenseWorkspace,
     check_orthogonality,
     dense_transform_posterior,
+    gauge_weight_posterior_closed_form,
     gnk_sample,
     gnk_weight_variances,
     run_conformance,
@@ -165,6 +167,30 @@ class TestDenseTransformPosterior:
         post = dense_transform_posterior(M, K, data, ab2)
         np.testing.assert_array_equal(post.mean, 0.0)
         np.testing.assert_allclose(post.cov, M @ K @ M.T, atol=1e-12)
+
+    def test_jitter_ladder_is_honored(self, ab2, rng):
+        # duplicate rows under vanishing noise: singular without jitter
+        kernel = rand_product_kernel(ab2, rng)
+        X = ab2.sequences_array()[[1, 1]]
+        data = TrainingData(X, [0.5, 0.5], 1e-300)
+        with pytest.raises(NumericalError):
+            dense_transform_posterior(np.eye(4), kernel.dense(), data, ab2, ladder=(0.0,))
+        post = dense_transform_posterior(np.eye(4), kernel.dense(), data, ab2, ladder=(1e-8,))
+        assert post.mean[1] == pytest.approx(0.5, abs=1e-6)
+
+
+class TestGaugeWeightClosedForm:
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_matches_rows_route(self, ab3, rng, t):
+        kernel = rand_product_kernel(ab3, rng)
+        gauge = rand_gauge(ab3, rng)
+        data = rand_data(ab3, rng, t, 0.5)
+        subs = ab3.subsequences()[:12]
+        got = gauge_weight_posterior_closed_form(gauge, kernel, data, subs)
+        want = gauge_weight_posterior(gauge, kernel, data, subs)
+        assert got.labels == want.labels
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.cov, want.cov, rtol=0, atol=1e-10)
 
 
 class TestSpectralProjectors:

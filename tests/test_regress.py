@@ -3,7 +3,9 @@ import pytest
 
 from seqgp import (
     ConnectednessKernelSpec,
+    DataError,
     EMPTY_SUBSEQUENCE,
+    GaugeGPRegressor,
     GaugeSpec,
     GeometricKernelSpec,
     ParameterError,
@@ -73,6 +75,11 @@ class TestGpPosterior:
     def test_zero_noise_rejected(self, ab2):
         with pytest.raises(ParameterError):
             TrainingData(ab2.sequences_array()[:1], [1.0], 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_targets_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            GaugeGPRegressor(alphabet="ab", length=2).fit(["aa", "ab", "ba"], [1.0, bad, 0.5])
 
 
 class TestRidgeWeights:
