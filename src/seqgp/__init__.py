@@ -43,6 +43,7 @@ from .posterior import (
     gauge_weight_posterior,
     mk_row,
     mkmt_entry,
+    streamed_transform_posterior,
     transform_posterior,
 )
 from .regress import (
@@ -73,7 +74,7 @@ __all__ = [
     "jenga_block_inverse", "order_diag_from_vc", "wh_induced_entry",
     "wt_induced_entry",
     "TransformPosteriorRequest", "gauge_weight_posterior", "mk_row",
-    "mkmt_entry", "transform_posterior",
+    "mkmt_entry", "streamed_transform_posterior", "transform_posterior",
     "GaussianPosterior", "TrainingData", "bayes_weight_posterior",
     "build_theta_regularizer", "gp_posterior", "phit_kinv_phi_product",
     "phit_kinv_phi_vc", "ridge_function", "ridge_weights",

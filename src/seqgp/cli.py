@@ -47,12 +47,17 @@ from .gauges import (
 from .kernels import ProductKernel, kernel_from_config
 from .oracle import (
     DEFAULT_SEED as DEFAULT_VERIFY_SEED,
-    dense_transform_posterior,
+    dense_transform_posterior,  # noqa: F401 - unused; perfbench/tracing.py wraps it here
     gnk_sample,
     run_conformance,
     sample_function_prior,
 )
-from .posterior import TransformPosteriorRequest, gauge_weight_posterior, transform_posterior
+from .posterior import (
+    TransformPosteriorRequest,
+    gauge_weight_posterior,
+    streamed_transform_posterior,
+    transform_posterior,
+)
 from .regress import TrainingData, gp_posterior
 from .seqspace import SequenceSpace
 
@@ -345,12 +350,10 @@ def _cmd_posterior(args, cfg: RunConfig):
                                           want_covariance=cfg.covariance),
                 ladder=cfg.jitter)
         else:
-            # isotropic kernels lack the per-position factorization; fall back to
-            # the dense route under the size guard
-            space.require_dense(space.n_sequences, "dense posterior fallback")
-            post = dense_transform_posterior(transform.dense_matrix(space), kernel.dense(),
-                                             data, space, labels=transform.labels,
-                                             ladder=cfg.jitter)
+            # isotropic kernels lack the per-position factorization
+            post = streamed_transform_posterior(transform, kernel, data,
+                                                want_covariance=cfg.covariance,
+                                                ladder=cfg.jitter)
     with _Writer(args.out) as fh:
         _emit_posterior_table(fh, "posterior", post, cfg.covariance, cfg.precision,
                               args.json, "label")
@@ -447,7 +450,7 @@ def _cmd_simulate(args, cfg: RunConfig):
     n = cfg.simulate.get("samples", 1)
     source = cfg.simulate.get("source", "function")
     rng = np.random.default_rng(args.seed)
-    space.require_dense(space.n_sequences, "prior simulation")
+    space.require_dense(max(n, 1) * space.n_sequences, "prior simulation")
     if source == "function":
         samples = sample_function_prior(cfg.kernel().dense(), n, rng)
     elif source == "gnk":

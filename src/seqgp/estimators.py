@@ -22,8 +22,14 @@ from .gauges import (
     transform_rows,
 )
 from .kernels import GeometricKernelSpec, ProductKernel, VcKernel, kernel_from_config
-from .oracle import dense_transform_posterior
-from .posterior import TransformPosteriorRequest, gauge_weight_posterior, transform_posterior
+# unused here, but perfbench/tracing.py wraps the name in this module's namespace
+from .oracle import dense_transform_posterior  # noqa: F401
+from .posterior import (
+    TransformPosteriorRequest,
+    gauge_weight_posterior,
+    streamed_transform_posterior,
+    transform_posterior,
+)
 from .regress import GaussianPosterior, TrainingData, gp_posterior, phi_rows
 from .seqspace import SequenceSpace
 
@@ -188,31 +194,28 @@ class GaugeGPRegressor(BaseEstimator):
         ``coeffs`` holds subsequence text forms or Subsequence objects
         (position tuples for the walsh-hadamard kind); None requests every
         valid coefficient, which is dense-capped.  Product kernels go through
-        the factorized fast path; others fall back to the dense construction
-        under the size guard.
+        the factorized fast path; others stream the kernel over the enumerated
+        space under the size guard.
         """
         self._check_fitted()
-        space = self.space_
+        space, kernel = self.space_, self.kernel_
         if coeffs is None:
             keys = all_transform_keys(kind, space, reference)
         else:
             keys = [parse_coefficient_key(kind, c, space) if isinstance(c, str) else c
                     for c in coeffs]
+        if isinstance(kernel, ProductKernel) and kind == "gauge-weights":
+            if reference is not None:
+                raise ParameterError(
+                    "transform kind 'gauge-weights' takes no reference sequence")
+            return gauge_weight_posterior(self.gauge_, kernel, self.data_, keys,
+                                          want_covariance)
         gauge_arg = self.gauge_ if kind in ("gauge-weights", "hierarchical") else None
         transform = transform_rows(kind, space, keys, gauge=gauge_arg, reference=reference)
-        if isinstance(self.kernel_, ProductKernel):
-            if kind == "gauge-weights":
-                return gauge_weight_posterior(self.gauge_, self.kernel_, self.data_,
-                                              transform.keys, want_covariance)
+        if isinstance(kernel, ProductKernel):
             return transform_posterior(
-                TransformPosteriorRequest(self.kernel_, self.data_, transform,
-                                          want_covariance))
-        M = transform.dense_matrix(space)
-        post = dense_transform_posterior(M, self.kernel_.dense(), self.data_, space,
-                                         labels=transform.labels)
-        if not want_covariance:
-            return GaussianPosterior(post.labels, post.mean, None, np.diag(post.cov).copy())
-        return post
+                TransformPosteriorRequest(kernel, self.data_, transform, want_covariance))
+        return streamed_transform_posterior(transform, kernel, self.data_, want_covariance)
 
     def _check_fitted(self):
         if not hasattr(self, "data_"):

@@ -502,6 +502,7 @@ def gauge_from_config(cfg: dict, space: SequenceSpace) -> GaugeSpec:
         else:
             raise ConfigError(f"unsupported pi specification {pi_cfg!r}")
         return GaugeSpec.from_lambda(float(lam), pi)
-    except (TypeError, ValueError) as exc:
-        # ValueError covers ParameterError and DimensionError
+    except (TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers ParameterError and DimensionError; OverflowError
+        # an integer too large for a float
         raise ConfigError(str(exc)) from exc

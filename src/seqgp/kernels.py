@@ -38,6 +38,8 @@ class VcKernel:
             raise DimensionError(
                 f"need {space.length + 1} order variances, got shape {lams.shape}"
             )
+        if not np.isfinite(lams).all():
+            raise ParameterError(f"order variances must be finite, got {lams.tolist()}")
         if allow_degenerate:
             if np.any(lams < 0):
                 raise ParameterError("order variances must be nonnegative")
@@ -101,6 +103,8 @@ class ProductKernel:
                 f"expected blocks of shape {(space.length, space.alpha, space.alpha)}, "
                 f"got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ParameterError("kernel blocks must be finite")
         for p, block in enumerate(arr, start=1):
             if not np.allclose(block, block.T, rtol=0, atol=1e-12):
                 raise ParameterError(f"block for position {p} is not symmetric")
@@ -540,7 +544,8 @@ def kernel_from_config(cfg: dict, space: SequenceSpace):
         return wt_induced_product(cfg["rho"], space)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # ValueError covers ParameterError and DimensionError; both also
-        # cover parameters of the wrong JSON type
+        # cover parameters of the wrong JSON type, and OverflowError an
+        # integer too large for a float
         raise ConfigError(f"invalid kernel parameters: {exc}") from exc

@@ -39,11 +39,13 @@ from .kernels import (
     wh_induced_entry,
     wt_induced_entry,
 )
+from . import posterior
 from .posterior import (
     TransformPosteriorRequest,
     gauge_weight_posterior,
     mk_matrix,
     mkmt_matrix,
+    streamed_transform_posterior,
     transform_posterior,
 )
 from .regress import (
@@ -91,12 +93,6 @@ class DenseWorkspace:
         return cls(space, phi, K, P, Z, lam)
 
 
-def _sequence_indices(space: SequenceSpace, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.int64)
-    powers = space.alpha ** np.arange(space.length - 1, -1, -1, dtype=np.int64)
-    return X @ powers
-
-
 def dense_transform_posterior(M: np.ndarray, K: np.ndarray, data: TrainingData,
                               space: SequenceSpace, labels=None,
                               ladder=JITTER_LADDER) -> GaussianPosterior:
@@ -112,7 +108,7 @@ def dense_transform_posterior(M: np.ndarray, K: np.ndarray, data: TrainingData,
         labels = [f"row{i}" for i in range(M.shape[0])]
     if data.t == 0:
         return GaussianPosterior(list(labels), np.zeros(M.shape[0]), M @ K @ M.T)
-    idx = _sequence_indices(space, data.X)
+    idx = space.sequence_indices(data.X)
     K_X = K[:, idx]
     mean, W = whitened_cross(K_X[idx, :], data, M @ K_X, ladder)
     return GaussianPosterior(list(labels), mean, M @ K @ M.T - W.T @ W)
@@ -705,6 +701,39 @@ def _check_kernel_trick(rng):
             ("transform-posterior-matches-dense", worst_post, 1e-8)]
 
 
+def _check_streamed_posterior(rng):
+    """The streamed route against the dense oracle, under blocks that split the space raggedly.
+
+    The block side is below ``alpha**ell`` and does not divide it, so
+    off-diagonal block pairs and a short last block both run.
+    """
+    worst = 0.0
+    saved = posterior._STREAM_BLOCK
+    try:
+        for space in _spaces():
+            n = space.n_sequences
+            posterior._STREAM_BLOCK = next(side for side in range(2, n) if n % side)
+            # order variances of mixed magnitude, to expose cancellation
+            vc = VcKernel(10.0 ** rng.uniform(-3.0, 3.0, space.length + 1), space)
+            for kernel in (vc, _rand_product(space, rng)):
+                K = kernel.dense()
+                for t in (0, n // 2 + 1):
+                    data = _rand_data(space, rng, t, 0.25)
+                    for transform in _all_kind_transforms(space, rng):
+                        want = dense_transform_posterior(transform.dense_matrix(space), K,
+                                                         data, space)
+                        for want_covariance in (True, False):
+                            got = streamed_transform_posterior(transform, kernel, data,
+                                                               want_covariance)
+                            worst = max(worst, float(np.abs(got.mean - want.mean).max()),
+                                        float(np.abs(got.var - np.diag(want.cov)).max()))
+                            if want_covariance:
+                                worst = max(worst, float(np.abs(got.cov - want.cov).max()))
+    finally:
+        posterior._STREAM_BLOCK = saved
+    return [("streamed-posterior-matches-dense", worst, 1e-8)]
+
+
 def _check_gauge_weight_posterior(rng):
     worst_dense, worst_cross, worst_bayes = 0.0, 0.0, 0.0
     for space in _spaces():
@@ -785,6 +814,7 @@ _REGISTRY = (
     _check_gauge_weight_posterior,
     _check_spectral_projectors,
     _check_dense_posterior_edges,
+    _check_streamed_posterior,
 )
 
 

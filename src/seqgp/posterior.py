@@ -5,6 +5,11 @@ transform does too, the row-times-kernel and row-times-kernel-times-row
 contractions collapse to per-position sums.  Posterior means and covariances
 of transform coefficients then need only objects of size ``j`` (rows) and
 ``t`` (training sequences); nothing of size ``alpha**ell`` is ever built.
+
+Kernels without that factorization (the isotropic ``vc`` family) take
+:func:`streamed_transform_posterior`, which enumerates the space under the
+size guard but streams the kernel in square blocks: its largest arrays are
+``(j, alpha**ell)``, never ``(alpha**ell, alpha**ell)``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from ._linalg import JITTER_LADDER
 from .errors import ParameterError
 from .gauges import FactorizedTransform, GaugeSpec, transform_rows
-from .kernels import ProductKernel
+from .kernels import ProductKernel, _matmul_nt
 from .regress import GaussianPosterior, TrainingData, whitened_cross
 from .seqspace import Subsequence
 
@@ -98,6 +103,67 @@ def transform_posterior(request: TransformPosteriorRequest,
     if request.want_covariance:
         return GaussianPosterior(labels, mean, mkmt_matrix(transform, kernel) - W.T @ W)
     var = mkmt_diagonal(transform, kernel) - np.einsum("tj,tj->j", W, W)
+    return GaussianPosterior(labels, mean, None, var)
+
+
+# side of the square kernel blocks that streamed_transform_posterior builds
+# and folds in; each block is _STREAM_BLOCK**2 floats (2 MiB at 512)
+_STREAM_BLOCK = 512
+
+
+def _streamed_mk(M: np.ndarray, kernel, S: np.ndarray) -> np.ndarray:
+    """``M K`` for the kernel on the sequences ``S``, one square block pair at a time.
+
+    Each pair ``A <= B`` of ``_STREAM_BLOCK``-sized slices of ``S`` is built
+    once as ``K_AB = kernel.matrix(S[A], S[B])`` and, by symmetry, folded in
+    twice: ``MK[:, B] += M[:, A] K_AB`` and, off the diagonal,
+    ``MK[:, A] += M[:, B] K_AB'``.  Both products accumulate in scipy's BLAS
+    (see :func:`seqgp.kernels._matmul_nt`).  ``M`` should be Fortran-ordered,
+    like the returned ``MK``: their column blocks are then contiguous, so no
+    operand is copied.
+    """
+    from scipy.linalg.blas import dgemm
+
+    n, side = S.shape[0], _STREAM_BLOCK
+    MK = np.zeros(M.shape, order="F")
+    for lo_a in range(0, n, side):
+        A = slice(lo_a, lo_a + side)
+        for lo_b in range(lo_a, n, side):
+            B = slice(lo_b, lo_b + side)
+            K_BA = kernel.matrix(S[A], S[B]).T  # Fortran-ordered view
+            MK[:, B] = dgemm(1.0, M[:, A], K_BA, 1.0, MK[:, B], trans_b=True,
+                             overwrite_c=True)
+            if lo_b != lo_a:
+                MK[:, A] = dgemm(1.0, M[:, B], K_BA, 1.0, MK[:, A], overwrite_c=True)
+    return MK
+
+
+def streamed_transform_posterior(transform: FactorizedTransform, kernel, data: TrainingData,
+                                 want_covariance: bool = True,
+                                 ladder=JITTER_LADDER) -> GaussianPosterior:
+    """Posterior of the transform coefficients under any kernel with a ``matrix`` method.
+
+    The route for kernels without a per-position factorization.  The rows are
+    evaluated on every sequence (``M``, size-guarded) and ``M K`` comes from
+    :func:`_streamed_mk`; ``M K_X`` is its columns at the training sequences
+    and ``M K M'`` is ``(M K) M'``.  Memory is ``O(j alpha**ell)`` plus one
+    kernel block; time is ``O(j alpha**(2 ell))``.  The dense construction in
+    :func:`seqgp.oracle.dense_transform_posterior` arbitrates it.
+    """
+    space = kernel.space
+    space.require_dense(space.n_sequences, "streamed transform posterior")
+    S = space.sequences_array()
+    M = np.asfortranarray(transform.dense_matrix(space))
+    MK = _streamed_mk(M, kernel, S)
+    labels = list(transform.labels)
+    if data.t == 0:
+        mean, W = np.zeros(transform.n_rows), np.zeros((0, transform.n_rows))
+    else:
+        mean, W = whitened_cross(kernel.matrix(data.X), data,
+                                 MK[:, space.sequence_indices(data.X)], ladder)
+    if want_covariance:
+        return GaussianPosterior(labels, mean, _matmul_nt(MK, M) - W.T @ W)
+    var = np.einsum("jn,jn->j", MK, M) - np.einsum("tj,tj->j", W, W)
     return GaussianPosterior(labels, mean, None, var)
 
 

@@ -171,8 +171,7 @@ def ridge_function(fn_penalty: np.ndarray, data: TrainingData, space: SequenceSp
     fn_penalty = np.asarray(fn_penalty, dtype=float)
     n = space.n_sequences
     space.require_dense(n, "function-space penalized regression")
-    powers = space.alpha ** np.arange(space.length - 1, -1, -1, dtype=np.int64)
-    idx = data.X @ powers
+    idx = space.sequence_indices(data.X)
     counts = np.zeros(n)
     rhs = np.zeros(n)
     np.add.at(counts, idx, 1.0)

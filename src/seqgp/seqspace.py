@@ -129,6 +129,11 @@ class SequenceSpace:
         self.length = int(length)
         self.dense_cap = int(dense_cap)
         self._char_index = {c: i for i, c in enumerate(self.alphabet)}
+        if self.length > 64:
+            # 3^65 > 2^63 already; the exact test below would first build an
+            # integer of about ell bits, which never finishes for huge ell
+            raise SizeGuardError(f"length {self.length} puts (alpha+1)^ell above the "
+                                 "platform index range")
         self.n_sequences = len(self.alphabet) ** self.length
         self.n_subsequences = (len(self.alphabet) + 1) ** self.length
         if self.n_subsequences > _MAX_INDEX:
@@ -195,6 +200,11 @@ class SequenceSpace:
         for c in self.encode_sequence(seq):
             idx = idx * self.alpha + c
         return idx
+
+    def sequence_indices(self, X) -> np.ndarray:
+        """Canonical indices of the rows of an encoded ``(n, length)`` array."""
+        powers = self.alpha ** np.arange(self.length - 1, -1, -1, dtype=np.int64)
+        return np.asarray(X, dtype=np.int64) @ powers
 
     def sequence_at(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.n_sequences:

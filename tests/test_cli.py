@@ -289,6 +289,39 @@ class TestCliErrors:
         assert "error[CONFIG]" in capsys.readouterr().err
 
 
+class TestNonfiniteOrderVariances:
+    # Python's json reads the NaN and Infinity literals; a vc kernel must
+    # reject both as a config error in every subcommand that builds it
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_vc_lambda_literal_exits_2(self, tmp_path, capsys, literal):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(BASE_CONFIG, transform={"kind": "zero-sum"}))
+                       .replace('"kernel": {"family": "geometric", "beta": 0.5}',
+                                '"kernel": {"family": "vc", "lambdas": [1, %s, 1]}' % literal))
+        assert literal in cfg.read_text()
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("x,y\naa,ab\n")
+        assert main(["kernel-eval", "--config", str(cfg), "--data", str(pairs)]) == 2
+        assert "error[CONFIG]" in capsys.readouterr().err
+        data = write_train(tmp_path, [("aa", 1.0), ("ab", 0.4)])
+        assert main(["posterior", "--config", str(cfg), "--data", data, "--coeffs=-"]) == 2
+        assert "error[CONFIG]" in capsys.readouterr().err
+
+
+class TestHugeIntegers:
+    # JSON integers have no size limit; sizes derived from them must be
+    # refused by the guards before anything is computed or allocated
+    def test_huge_length_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"length": 10 ** 400})
+        assert main(["posterior", "--config", cfg, "--coeffs=-"]) == 2
+        assert "error[CONFIG]" in capsys.readouterr().err
+
+    def test_huge_sample_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"simulate": {"samples": 10 ** 400}})
+        assert main(["simulate", "--config", cfg, "--seed", "1"]) == 2
+        assert "error[CONFIG]" in capsys.readouterr().err
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy.linalg loads on first use, not at import time
@@ -355,3 +388,45 @@ class TestVcRouting:
                                          train, sp, ladder=(1e-6,))
         got = [l.split("\t") for l in out_path.read_text().splitlines()[2:]]
         np.testing.assert_allclose([float(r[1]) for r in got], want.mean, rtol=1e-9)
+
+
+def test_vc_posterior_table_matches_dense_oracle(tmp_path, monkeypatch):
+    # the streamed route, with blocks that split ACGT^4 (256 sequences)
+    # raggedly, prints the dense oracle's numbers to the printed precision
+    from seqgp import TrainingData, VcKernel, posterior, transform_rows
+    from seqgp.oracle import dense_transform_posterior
+
+    monkeypatch.setattr(posterior, "_STREAM_BLOCK", 60)
+    lambdas = [0.01, 3.0, 0.5, 20.0, 0.1]
+    precision = 8
+    cfg = write_config(tmp_path, {
+        "alphabet": "ACGT", "length": 4,
+        "kernel": {"family": "vc", "lambdas": lambdas},
+        "transform": {"kind": "background-averaged", "reference": "ACGT"},
+        "output": {"covariance": True, "precision": precision},
+    })
+    rng = np.random.default_rng(7)
+    train = ["".join(rng.choice(list("ACGT"), 4)) for _ in range(30)]
+    y = rng.standard_normal(30).round(3)
+    data = write_train(tmp_path, list(zip(train, y)))
+    coeffs = ["-", "1:C", "2:A;4:A", "1:G;2:T;3:A", "1:T;2:G;3:T;4:C"]
+    out_path = tmp_path / "out.tsv"
+    assert main(["posterior", "--config", cfg, "--data", data,
+                 "--coeffs=" + ",".join(coeffs), "--out", str(out_path)]) == 0
+
+    sp = SequenceSpace("ACGT", 4)
+    t = transform_rows("background-averaged", sp, [sp.parse_subsequence(c) for c in coeffs],
+                       reference="ACGT")
+    want = dense_transform_posterior(t.dense_matrix(sp), VcKernel(lambdas, sp).dense(),
+                                     TrainingData.from_sequences(sp, train, y, 0.25), sp)
+    lines = out_path.read_text().splitlines()
+    assert lines[1].split("\t") == ["label", "mean", "sd"] + [f"cov:{l}" for l in t.labels]
+    rows = [line.split("\t") for line in lines[2:]]
+    assert [r[0] for r in rows] == t.labels
+    got = np.array([[float(v) for v in r[1:]] for r in rows])
+    expected = np.column_stack([want.mean, np.sqrt(np.diag(want.cov)), want.cov])
+    # a value printed to p significant digits is within half a unit in the
+    # p-th digit; the routes themselves agree far more closely than that
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=10.0 ** (1 - precision),
+                               atol=scale * 10.0 ** -(precision + 2))

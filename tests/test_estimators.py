@@ -140,6 +140,33 @@ class TestGaugeGPRegressor:
         np.testing.assert_allclose(post.mean, want.mean, atol=1e-10)
         np.testing.assert_allclose(post.cov, want.cov, atol=1e-10)
 
+    @pytest.mark.parametrize("kernel, kind", [
+        ({"family": "geometric", "beta": 0.5}, "gauge-weights"),
+        ({"family": "geometric", "beta": 0.5}, "hierarchical"),
+        ({"family": "vc", "lambdas": [1.0, 0.5, 0.25]}, "gauge-weights"),
+    ])
+    def test_transform_rows_built_once_per_call(self, monkeypatch, kernel, kind):
+        import seqgp.estimators
+        import seqgp.posterior
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return transform_rows(*args, **kwargs)
+
+        monkeypatch.setattr(seqgp.estimators, "transform_rows", spy)
+        monkeypatch.setattr(seqgp.posterior, "transform_rows", spy)
+        est = make_regressor(kernel=kernel).fit(TRAIN_X, TRAIN_Y)
+        post = est.coefficient_posterior(["-", "1:a", "1:b;2:b"], kind=kind)
+        assert calls == [kind]
+        assert post.mean.shape == (3,)
+
+    def test_gauge_weights_reject_reference(self):
+        est = make_regressor().fit(TRAIN_X, TRAIN_Y)
+        with pytest.raises(ParameterError, match="reference"):
+            est.coefficient_posterior(["-"], reference="aa")
+
     def test_kernel_object_parameter(self, rng):
         sp = SequenceSpace("ab", 2)
         kernel = rand_product_kernel(sp, rng)

@@ -71,6 +71,14 @@ class TestVcKernel:
         with pytest.raises(ParameterError):
             VcKernel([1.0, -0.5, 1.0], sp)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_order_variances_rejected(self, bad):
+        # NaN slips past a positivity test, so finiteness is checked first
+        sp = SequenceSpace("ab", 2)
+        for allow_degenerate in (False, True):
+            with pytest.raises(ParameterError, match="finite"):
+                VcKernel([bad, 1.0, 1.0], sp, allow_degenerate=allow_degenerate)
+
 
 class TestProductKernel:
     def test_identity_blocks_are_kronecker_delta(self):
@@ -85,6 +93,11 @@ class TestProductKernel:
         k = ProductKernel(np.stack([block, block]), sp)
         assert k.entry((0, 0), (0, 1)) == pytest.approx(0.5)
         assert k.entry((0, 0), (1, 1)) == pytest.approx(0.25)
+
+    def test_rejects_nonfinite_block(self):
+        sp = SequenceSpace("ab", 1)
+        with pytest.raises(ParameterError, match="finite"):
+            ProductKernel([[[1.0, np.nan], [np.nan, 1.0]]], sp)
 
     def test_rejects_asymmetric_block(self):
         sp = SequenceSpace("ab", 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from seqgp import (
     ProductDistribution,
     ProductKernel,
     SequenceSpace,
+    SizeGuardError,
     Subsequence,
     TrainingData,
     TransformPosteriorRequest,
@@ -20,14 +23,16 @@ from seqgp import (
     marginalization_residual,
     mk_row,
     mkmt_entry,
+    streamed_transform_posterior,
     transform_posterior,
     transform_rows,
 )
 from seqgp.gauges import projection_dense
 from seqgp.oracle import dense_transform_posterior
+from seqgp import posterior
 from seqgp.posterior import mk_matrix, mkmt_matrix
 
-from conftest import rand_data, rand_gauge, rand_product_kernel, small_spaces
+from conftest import rand_data, rand_gauge, rand_product_kernel, rand_vc_kernel, small_spaces
 
 
 def _delta_transform(space, x):
@@ -135,6 +140,62 @@ class TestTransformPosterior:
         t = transform_rows("zero-sum", ab2, ab2.subsequences())
         with pytest.raises(ParameterError, match="product kernel"):
             TransformPosteriorRequest(k, _empty_data(ab2), t)
+
+
+class TestStreamedTransformPosterior:
+    @pytest.fixture(autouse=True)
+    def ragged_blocks(self, monkeypatch):
+        # a side below ab3's 8 sequences that does not divide it runs
+        # off-diagonal block pairs and a short last block
+        monkeypatch.setattr(posterior, "_STREAM_BLOCK", 5)
+
+    def test_empty_training_gives_prior(self, ab3, rng):
+        kernel = rand_vc_kernel(ab3, rng)
+        t = transform_rows("zero-sum", ab3, ab3.subsequences())
+        post = streamed_transform_posterior(t, kernel, _empty_data(ab3))
+        M = t.dense_matrix(ab3)
+        np.testing.assert_array_equal(post.mean, 0.0)
+        np.testing.assert_allclose(post.cov, M @ kernel.dense() @ M.T, rtol=0, atol=1e-12)
+
+    def test_variance_only_mode(self, ab3, rng):
+        kernel = rand_vc_kernel(ab3, rng)
+        data = rand_data(ab3, rng, 4, 0.5)
+        t = transform_rows("zero-sum", ab3, ab3.subsequences())
+        full = streamed_transform_posterior(t, kernel, data, want_covariance=True)
+        diag = streamed_transform_posterior(t, kernel, data, want_covariance=False)
+        assert diag.cov is None
+        assert full.labels == diag.labels == t.labels
+        np.testing.assert_allclose(diag.var, np.diag(full.cov), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(diag.mean, full.mean)
+
+    def test_size_guard(self):
+        sp = SequenceSpace("ab", 21)
+        kernel = VcKernel(np.ones(22), sp)
+        t = transform_rows("zero-sum", sp, [EMPTY_SUBSEQUENCE])
+        with pytest.raises(SizeGuardError, match="streamed"):
+            streamed_transform_posterior(t, kernel, _empty_data(sp))
+
+
+def test_streamed_posterior_never_builds_the_dense_kernel(monkeypatch, rng):
+    # DNA at length 6 has 4096 sequences: the dense kernel alone is 134 MB,
+    # so a traced peak of a quarter of that rules out any (n, n) array
+    monkeypatch.setattr(VcKernel, "dense", None)
+    sp = SequenceSpace("ACGT", 6)
+    kernel = VcKernel([2.0 ** -k for k in range(7)], sp)
+    off_ref = [s for s in sp.subsequences() if 0 not in s.chars]
+    keys = [off_ref[i] for i in rng.choice(len(off_ref), 100, replace=False)]
+    t = transform_rows("background-averaged", sp, keys, reference="AAAAAA")
+    data = TrainingData(rng.integers(0, 4, size=(300, 6)), rng.standard_normal(300), 0.1)
+    n = sp.n_sequences
+    kernel.matrix(data.X[:1])  # loads scipy's BLAS outside the traced region
+    tracemalloc.start()
+    try:
+        post = streamed_transform_posterior(t, kernel, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert post.cov.shape == (100, 100)
+    assert peak < n * n * 8 / 4
 
 
 class TestGaugeWeightPosterior:

@@ -175,6 +175,17 @@ class TestSizeGuard:
         roomy = SequenceSpace("ab", 3, dense_cap=10 ** 6)
         assert len(list(roomy.enumerate_sequences())) == 8
 
+    def test_huge_length_refused_at_once(self):
+        # an exact (alpha+1)**ell would never finish for a length this large
+        with pytest.raises(SizeGuardError, match="index range"):
+            SequenceSpace("ab", 10 ** 400)
+
+    def test_sequence_indices_match_enumeration(self):
+        sp = SequenceSpace("abc", 3)
+        X = sp.sequences_array()
+        np.testing.assert_array_equal(sp.sequence_indices(X), np.arange(sp.n_sequences))
+        assert sp.sequence_indices(X[[5, 2]]).tolist() == [5, 2]
+
     def test_closed_forms_unaffected(self):
         # entrywise work never touches the guard
         sp = SequenceSpace("ab", 25)
