@@ -23,29 +23,38 @@ JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 class SpdSolver:
     """Cached Cholesky factorization ``A = L L'`` of a symmetric positive-definite matrix.
 
-    Tries each jitter in ``ladder`` (added to the diagonal of one working
-    copy) until the factorization succeeds; the applied jitter is recorded
-    on the instance and logged when nonzero.  ``matrix`` itself is never
-    modified.
+    LAPACK's ``potrf`` factors the Fortran view ``A.T`` in place; for a
+    symmetric C-ordered matrix that view is the matrix itself, so no
+    transposing copy is made.  Only the lower triangle of the view is read
+    and overwritten with ``L``; its strict upper triangle keeps the matrix.
+    With ``overwrite=False`` the working copy is a plain copy of ``A.T`` and
+    ``matrix`` is never modified; with ``overwrite=True`` a C-ordered float
+    ``matrix`` is the working copy and holds the factor afterwards.
+
+    Tries each jitter in ``ladder`` until the factorization succeeds.  Before
+    each retry the strict lower triangle that the failed attempt overwrote is
+    restored from the untouched strict upper one, and the diagonal is set to
+    the original diagonal plus the jitter.  The applied jitter is recorded on
+    the instance and logged when nonzero.
     """
 
-    def __init__(self, matrix: np.ndarray, ladder=JITTER_LADDER):
-        from scipy.linalg import cholesky
+    def __init__(self, matrix: np.ndarray, ladder=JITTER_LADDER, overwrite: bool = False):
+        from scipy.linalg.lapack import dpotrf
 
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NumericalError(f"expected a square matrix, got shape {A.shape}")
+        in_place = overwrite and A.flags.c_contiguous and A.flags.writeable
+        work = A.T if in_place else np.array(A.T, order="F")
+        diag = np.diag_indices(work.shape[0])
+        d0 = work[diag].copy()
         self.jitter = None
-        diag = np.diag_indices(A.shape[0])
-        work = None
-        for jitter in ladder:
-            if jitter:
-                if work is None:
-                    work = A.copy()
-                work[diag] = A[diag] + jitter
-            try:
-                self._chol = cholesky(work if jitter else A, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
+        for attempt, jitter in enumerate(ladder):
+            if attempt:
+                _restore_lower(work)
+            work[diag] = d0 + jitter
+            self._chol, info = dpotrf(work, lower=1, clean=0, overwrite_a=1)
+            if info:
                 continue
             if not np.isfinite(np.diagonal(self._chol)).all():
                 # any nonfinite entry of the lower triangle reaches the diagonal
@@ -55,7 +64,9 @@ class SpdSolver:
                 log.warning("factorization needed diagonal jitter %.1e", jitter)
             break
         else:
-            cond = _condition_estimate(A)
+            _restore_lower(work)
+            work[diag] = d0
+            cond = _condition_estimate(work)
             raise NumericalError(
                 f"symmetric factorization failed for every jitter in {tuple(ladder)}; "
                 f"condition estimate {cond:.3e}"
@@ -73,17 +84,19 @@ class SpdSolver:
 
         return cho_solve((self._chol, True), np.atleast_1d(b), check_finite=False)
 
-    @property
-    def lower(self) -> np.ndarray:
-        return self._chol
-
-
-def solve_spd(A: np.ndarray, b: np.ndarray, ladder=JITTER_LADDER) -> np.ndarray:
-    return SpdSolver(A, ladder).solve(b)
-
 
 def inv_spd(A: np.ndarray, ladder=JITTER_LADDER) -> np.ndarray:
     return SpdSolver(A, ladder).solve(np.eye(np.asarray(A).shape[0]))
+
+
+def _restore_lower(work: np.ndarray) -> None:
+    """Copy the strict upper triangle of ``work`` into its strict lower one.
+
+    One row at a time, reading contiguous columns of the Fortran-ordered
+    ``work``: no temporary as large as the matrix.
+    """
+    for i in range(1, work.shape[0]):
+        work[i, :i] = work[:i, i]
 
 
 def _condition_estimate(A: np.ndarray) -> float:

@@ -452,6 +452,7 @@ def _cmd_simulate(args, cfg: RunConfig):
     rng = np.random.default_rng(args.seed)
     space.require_dense(max(n, 1) * space.n_sequences, "prior simulation")
     if source == "function":
+        space.require_dense(space.n_sequences ** 2, "dense prior kernel")
         samples = sample_function_prior(cfg.kernel().dense(), n, rng)
     elif source == "gnk":
         hoods = cfg.simulate.get("neighborhoods")
@@ -503,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--coeffs", help="inline comma-separated query entries")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--seed", type=int, help="seed for simulate/verify")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (output is deterministic regardless)")
     parser.add_argument("--json", action="store_true", help="JSON output mode")
     return parser
 
@@ -512,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.subcommand == "verify":
             return _cmd_verify(args)
         if args.config is None:

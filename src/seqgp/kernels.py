@@ -127,36 +127,64 @@ class ProductKernel:
         return float(value)
 
     def matrix(self, X, Y=None) -> np.ndarray:
-        """``K[n, m] = prod_p blocks[p, X[n, p], Y[m, p]]`` as one log-domain GEMM.
+        """``K[n, m] = prod_p blocks[p, X[n, p], Y[m, p]]`` as log-domain GEMMs.
 
         ``log|K|`` is the per-position log-magnitude rows of ``X`` against the
         one-hot encoding of ``Y``.  Positions whose block has a nonpositive
         entry add two integer counts, each one more GEMM over those positions
         only: negative factors, whose parity gives the sign, and zero
         factors, any of which zeroes the entry.
+
+        With ``Y`` omitted the matrix is symmetric and is built in square row
+        blocks: each row block computes only the columns from its own first
+        row on and mirrors them below the diagonal, so the GEMMs, the ``exp``
+        and the channels do about half the work and the result is exactly
+        symmetric.
         """
         X = np.asarray(X, dtype=np.int64)
-        Y = X if Y is None else np.asarray(Y, dtype=np.int64)
+        symmetric = Y is None
+        Y = X if symmetric else np.asarray(Y, dtype=np.int64)
         blocks, alpha = self.blocks, self.space.alpha
         oh_y = _one_hot(Y, alpha)
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(blocks))
         log_abs[blocks == 0] = 0.0  # zeroed below by the zero channel
-        out = _matmul_nt(_position_rows(log_abs, X), oh_y)
-        np.exp(out, out=out)
+        log_rows = _position_rows(log_abs, X)
         nonpos = np.flatnonzero((blocks <= 0).any(axis=(1, 2)))
-        if nonpos.size:
-            oh_nonpos = oh_y[:, (nonpos[:, None] * alpha + np.arange(alpha)).ravel()]
-            neg = _position_rows((blocks[nonpos] < 0).astype(float), X[:, nonpos])
-            zero = _position_rows((blocks[nonpos] == 0).astype(float), X[:, nonpos])
-            has_neg, has_zero = neg.any(), zero.any()
+        oh_nonpos = oh_y[:, (nonpos[:, None] * alpha + np.arange(alpha)).ravel()]
+        neg = _position_rows((blocks[nonpos] < 0).astype(float), X[:, nonpos])
+        zero = _position_rows((blocks[nonpos] == 0).astype(float), X[:, nonpos])
+        has_neg, has_zero = neg.any(), zero.any()
+
+        def finish(block, rows, cols):
+            """Turn the log-magnitudes ``block = out[rows, cols]`` into entries, in place."""
+            np.exp(block, out=block)
+            if has_neg:
+                # negative-factor counts are at most length <= 64, so int8 holds them
+                sign = _matmul_nt(neg[rows], oh_nonpos[cols]).astype(np.int8)
+                sign &= 1
+                sign *= -2
+                sign += 1
+                block *= sign
+            if has_zero:
+                block[_matmul_nt(zero[rows], oh_nonpos[cols]) > 0] = 0.0
+
+        if not symmetric:
+            out = _matmul_nt(log_rows, oh_y)
             for rows in _row_blocks(X.shape[0], Y.shape[0]):
-                block = out[rows]
-                if has_neg:
-                    parity = _matmul_nt(neg[rows], oh_nonpos).astype(np.intp) & 1
-                    block *= np.take(_PARITY_SIGN, parity)
-                if has_zero:
-                    block[_matmul_nt(zero[rows], oh_nonpos) > 0] = 0.0
+                finish(out[rows], rows, slice(None))
+            return out
+        n = X.shape[0]
+        out = np.empty((n, n))
+        below = np.tri(_SYMMETRIC_SIDE, k=-1, dtype=bool)
+        for lo in range(0, n, _SYMMETRIC_SIDE):
+            hi = min(lo + _SYMMETRIC_SIDE, n)
+            rows, cols = slice(lo, hi), slice(lo, None)
+            out[rows, cols] = _matmul_nt(log_rows[rows], oh_y[cols])
+            finish(out[rows, cols], rows, cols)
+            out[hi:, rows] = out[rows, hi:].T
+            square = out[rows, rows]
+            np.copyto(square, square.T, where=below[: hi - lo, : hi - lo])
         return out
 
     def dense(self) -> np.ndarray:
@@ -172,7 +200,9 @@ class ProductKernel:
         return self._block_inv
 
 
-_PARITY_SIGN = np.array([1.0, -1.0])
+# side of the square row blocks of a symmetric product-kernel matrix; 256
+# built the protein t=2000 K_XX faster than 512 or 1024
+_SYMMETRIC_SIDE = 256
 
 # entries per row block (8 MiB of floats) in the kernel steps that run block
 # by block, so that their temporaries stay small next to the output

@@ -204,10 +204,6 @@ def sample_function_prior(K: np.ndarray, n: int, rng: np.random.Generator) -> np
     return rng.standard_normal((n, L.shape[0])) @ L.T
 
 
-def sample_weight_prior(W: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    return sample_function_prior(W, n, rng)
-
-
 def _gnk_support(neighborhoods, space: SequenceSpace):
     """Distinct neighborhood subsequence indices and their weight variances."""
     cleaned = []

@@ -120,15 +120,18 @@ def whitened_cross(gram: np.ndarray, data: TrainingData, cross: np.ndarray,
                    ladder=JITTER_LADDER) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and whitened cross-covariance: the one exact conditioning step.
 
-    ``gram`` is a freshly built ``K_XX``; the noise variance is added to its
-    diagonal in place.  ``cross`` is ``(q, t)``: the prior covariance of ``q``
-    outputs with the training values.  With ``L L' = K_XX + noise I``, one
-    batched triangular solve gives ``[w_y | W] = L^{-1} [y | cross']``.  The
-    posterior mean is ``W' w_y`` and the posterior covariance is the prior
-    minus ``W' W``, symmetric by construction.
+    ``gram`` is a freshly built symmetric ``K_XX`` and is consumed: the noise
+    variance is added to its diagonal and it is factorized in place, so no
+    second ``t x t`` array is made.  ``cross`` is ``(q, t)``: the prior
+    covariance of ``q`` outputs with the training values.  With
+    ``L L' = K_XX + noise I``, one batched triangular solve gives
+    ``[w_y | W] = L^{-1} [y | cross']``.  The posterior mean is ``W' w_y`` and
+    the posterior covariance is the prior minus ``W' W``, symmetric by
+    construction.
     """
     gram[np.diag_indices_from(gram)] += data.noise_variance
-    whitened = SpdSolver(gram, ladder).whiten(np.column_stack([data.y, cross.T]))
+    whitened = SpdSolver(gram, ladder, overwrite=True).whiten(
+        np.column_stack([data.y, cross.T]))
     W = whitened[:, 1:]
     return W.T @ whitened[:, 0], W
 

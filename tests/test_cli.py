@@ -321,6 +321,19 @@ class TestHugeIntegers:
         assert main(["simulate", "--config", cfg, "--seed", "1"]) == 2
         assert "error[CONFIG]" in capsys.readouterr().err
 
+    def test_function_draws_past_the_dense_kernel_cap_exit_2(self, tmp_path, capsys):
+        # ab/17 has 131,072 sequences, inside the sequence cap, but its dense
+        # kernel has 2**34 entries; the guard must refuse it before any build
+        from unittest import mock
+
+        from seqgp.kernels import ProductKernel
+
+        cfg = write_config(tmp_path, {"length": 17, "simulate": {"samples": 1}})
+        with mock.patch.object(ProductKernel, "dense", side_effect=AssertionError("built")):
+            assert main(["simulate", "--config", cfg, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error[CONFIG]" in err and "dense prior kernel" in err
+
 
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from seqgp._linalg import SpdSolver, inv_spd, solve_spd
+from seqgp._linalg import SpdSolver, inv_spd
 from seqgp.errors import NumericalError
 
 
@@ -11,7 +11,7 @@ def test_solve_matches_numpy(rng):
     A = rng.standard_normal((6, 6))
     A = A @ A.T + 6 * np.eye(6)
     b = rng.standard_normal(6)
-    np.testing.assert_allclose(solve_spd(A, b), np.linalg.solve(A, b), atol=1e-10)
+    np.testing.assert_allclose(SpdSolver(A).solve(b), np.linalg.solve(A, b), atol=1e-10)
     np.testing.assert_allclose(inv_spd(A), np.linalg.inv(A), atol=1e-10)
 
 
@@ -55,5 +55,34 @@ def test_jitter_leaves_input_unchanged():
     solver = SpdSolver(A)
     assert solver.jitter > 0
     np.testing.assert_array_equal(A, before)
-    np.testing.assert_allclose(solver.lower @ solver.lower.T,
-                               A + solver.jitter * np.eye(3), atol=1e-12)
+    # whitening the factored matrix gives L', so L L' is recovered through whiten
+    shifted = A + solver.jitter * np.eye(3)
+    upper = solver.whiten(shifted)
+    np.testing.assert_allclose(upper.T @ upper, shifted, atol=1e-12)
+
+
+@pytest.mark.parametrize("jitter", [1e-12, 1e-10])
+def test_jitter_ladder_in_place_matches_a_copy(jitter, rng):
+    # smallest eigenvalue -jitter/2: every rung below ``jitter`` fails
+    # partway, after overwriting part of the lower triangle, and ``jitter``
+    # succeeds; each retry must start from the original matrix
+    n = 12
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    G = (Q * np.append(rng.uniform(1.0, 2.0, n - 1), -jitter / 2)) @ Q.T
+    G = np.triu(G) + np.triu(G, 1).T
+    B = rng.standard_normal((n, 3))
+    copied = SpdSolver(G.copy())
+    assert copied.jitter == jitter
+    fresh = SpdSolver(G + jitter * np.eye(n), ladder=(0.0,))
+    in_place = SpdSolver(G, overwrite=True)
+    assert in_place.jitter == jitter
+    assert np.array_equal(in_place.whiten(B), copied.whiten(B))
+    assert np.array_equal(copied.whiten(B), fresh.whiten(B))
+
+
+def test_failed_ladder_restores_the_matrix():
+    A = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+    work = A.copy()
+    with pytest.raises(NumericalError, match="condition estimate"):
+        SpdSolver(work, overwrite=True)
+    np.testing.assert_array_equal(work, A)

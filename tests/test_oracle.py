@@ -59,13 +59,12 @@ class TestSamplers:
             sample_function_prior(np.array([[1.0, 2.0], [2.0, 1.0]]), 3, rng)
 
     def test_weight_prior_covariance(self, ab2, rng):
-        from seqgp.oracle import sample_weight_prior
         from seqgp import build_theta_regularizer
         kernel = rand_product_kernel(ab2, rng)
         gauge = rand_gauge(ab2, rng)
         W = np.linalg.inv(build_theta_regularizer(kernel, gauge, ab2))
         n = 100_000
-        samples = sample_weight_prior(W, n, rng)
+        samples = sample_function_prior(W, n, rng)
         emp = samples.T @ samples / n
         sd = np.sqrt((np.outer(np.diag(W), np.diag(W)) + W ** 2) / n)
         assert np.all(np.abs(emp - W) <= 3 * sd + 1e-10)

@@ -114,6 +114,21 @@ def test_product_matrix_matches_per_position_product(alpha, ell, n, m, family, s
 
 
 @SETTINGS
+@given(alpha=alphas, ell=lengths, n=st.integers(0, 30),
+       family=st.sampled_from(sorted(BLOCK_FAMILIES)), seed=seeds, side=st.integers(1, 7))
+def test_symmetric_product_matrix_is_exactly_symmetric(alpha, ell, n, family, seed, side):
+    # square row blocks of 1-7 rows leave a partial last block for most n
+    rng = np.random.default_rng(seed)
+    space = SequenceSpace(ALPHABET[:alpha], ell)
+    kernel = ProductKernel(BLOCK_FAMILIES[family](alpha, ell, rng), space)
+    X = rng.integers(0, alpha, size=(n, ell))
+    with mock.patch.object(kernels, "_SYMMETRIC_SIDE", side):
+        got = kernel.matrix(X)
+    assert np.array_equal(got, got.T)
+    np.testing.assert_allclose(got, kernel.matrix(X, X.copy()), rtol=1e-14, atol=0)
+
+
+@SETTINGS
 @given(alpha=alphas, ell=lengths, n=row_counts, m=row_counts, seed=seeds, block=block_entries)
 def test_vc_matrix_is_the_hamming_table_lookup(alpha, ell, n, m, seed, block):
     rng = np.random.default_rng(seed)
@@ -135,7 +150,7 @@ def test_whiten_and_solve_match_numpy(n, k, seed):
     A = G @ G.T + n * np.eye(n)
     B = rng.standard_normal((n, k))
     solver = SpdSolver(A)
-    np.testing.assert_allclose(solver.whiten(B), np.linalg.solve(solver.lower, B),
+    np.testing.assert_allclose(solver.whiten(B), np.linalg.solve(np.linalg.cholesky(A), B),
                                rtol=0, atol=1e-10)
     np.testing.assert_allclose(solver.solve(B), np.linalg.solve(A, B), rtol=0, atol=1e-10)
     np.testing.assert_allclose(solver.solve(B[:, 0]), np.linalg.solve(A, B[:, 0]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from seqgp.regress import (
     phit_kinv_phi_geometric,
     phit_kinv_phi_jenga,
     prior_penalty_dense,
+    whitened_cross,
 )
 from seqgp.gauges import projection_dense
 
@@ -80,6 +83,26 @@ class TestGpPosterior:
     def test_nonfinite_targets_rejected(self, bad):
         with pytest.raises(DataError, match="finite"):
             GaugeGPRegressor(alphabet="ab", length=2).fit(["aa", "ab", "ba"], [1.0, bad, 0.5])
+
+
+class TestWhitenedCross:
+    def test_conditioning_holds_one_training_matrix(self, rng):
+        # the symmetric build writes K_XX once and the factorization runs in
+        # it: the traced peak stays below one and a half t x t arrays
+        t = 1000
+        sp = SequenceSpace("ACGT", 8)
+        kernel = ConnectednessKernelSpec((-0.2, 0.3) * 4).to_product(sp)
+        data = TrainingData(rng.integers(0, 4, size=(t, 8)), rng.standard_normal(t), 0.1)
+        Q = rng.integers(0, 4, size=(5, 8))
+        kernel.matrix(Q[:1])  # loads scipy outside the traced region
+        tracemalloc.start()
+        try:
+            mean, W = whitened_cross(kernel.matrix(data.X), data, kernel.matrix(Q, data.X))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert W.shape == (t, 5) and np.isfinite(mean).all()
+        assert peak < 1.5 * 8 * t * t
 
 
 class TestRidgeWeights:
