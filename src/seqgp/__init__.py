@@ -38,14 +38,7 @@ from .kernels import (
     wh_induced_entry,
     wt_induced_entry,
 )
-from .posterior import (
-    TransformPosteriorRequest,
-    gauge_weight_posterior,
-    mk_row,
-    mkmt_entry,
-    streamed_transform_posterior,
-    transform_posterior,
-)
+from .posterior import gauge_weight_posterior, transform_posterior
 from .regress import (
     GaussianPosterior,
     TrainingData,
@@ -73,8 +66,7 @@ __all__ = [
     "induced_kernel_diag_lambda_pi", "induced_vc_from_order_diag",
     "jenga_block_inverse", "order_diag_from_vc", "wh_induced_entry",
     "wt_induced_entry",
-    "TransformPosteriorRequest", "gauge_weight_posterior", "mk_row",
-    "mkmt_entry", "streamed_transform_posterior", "transform_posterior",
+    "gauge_weight_posterior", "transform_posterior",
     "GaussianPosterior", "TrainingData", "bayes_weight_posterior",
     "build_theta_regularizer", "gp_posterior", "phit_kinv_phi_product",
     "phit_kinv_phi_vc", "ridge_function", "ridge_weights",

@@ -44,7 +44,7 @@ from .gauges import (
     parse_coefficient_key,
     transform_rows,
 )
-from .kernels import ProductKernel, kernel_from_config
+from .kernels import kernel_from_config
 from .oracle import (
     DEFAULT_SEED as DEFAULT_VERIFY_SEED,
     dense_transform_posterior,  # noqa: F401 - unused; perfbench/tracing.py wraps it here
@@ -53,9 +53,7 @@ from .oracle import (
     sample_function_prior,
 )
 from .posterior import (
-    TransformPosteriorRequest,
-    gauge_weight_posterior,
-    streamed_transform_posterior,
+    gauge_weight_posterior,  # noqa: F401 - unused; perfbench/tracing.py wraps it here
     transform_posterior,
 )
 from .regress import TrainingData, gp_posterior
@@ -338,22 +336,10 @@ def _cmd_posterior(args, cfg: RunConfig):
     data = parse_training_csv(args.data, space, cfg.training_noise())
     keys = parse_query(_query_entries(args), cfg.transform_kind, space)
     gauge = cfg.gauge() if cfg.transform_kind in ("gauge-weights", "hierarchical") else None
-    if isinstance(kernel, ProductKernel) and cfg.transform_kind == "gauge-weights":
-        post = gauge_weight_posterior(gauge, kernel, data, keys,
-                                      want_covariance=cfg.covariance, ladder=cfg.jitter)
-    else:
-        transform = transform_rows(cfg.transform_kind, space, keys, gauge=gauge,
-                                   reference=cfg.reference)
-        if isinstance(kernel, ProductKernel):
-            post = transform_posterior(
-                TransformPosteriorRequest(kernel, data, transform,
-                                          want_covariance=cfg.covariance),
-                ladder=cfg.jitter)
-        else:
-            # isotropic kernels lack the per-position factorization
-            post = streamed_transform_posterior(transform, kernel, data,
-                                                want_covariance=cfg.covariance,
-                                                ladder=cfg.jitter)
+    transform = transform_rows(cfg.transform_kind, space, keys, gauge=gauge,
+                               reference=cfg.reference)
+    post = transform_posterior(transform, kernel, data, want_covariance=cfg.covariance,
+                               ladder=cfg.jitter)
     with _Writer(args.out) as fh:
         _emit_posterior_table(fh, "posterior", post, cfg.covariance, cfg.precision,
                               args.json, "label")

@@ -22,14 +22,10 @@ from .gauges import (
     transform_rows,
 )
 from .kernels import GeometricKernelSpec, ProductKernel, VcKernel, kernel_from_config
-# unused here, but perfbench/tracing.py wraps the name in this module's namespace
+# unused here, but perfbench/tracing.py wraps the names in this module's namespace
 from .oracle import dense_transform_posterior  # noqa: F401
-from .posterior import (
-    TransformPosteriorRequest,
-    gauge_weight_posterior,
-    streamed_transform_posterior,
-    transform_posterior,
-)
+from .posterior import gauge_weight_posterior  # noqa: F401
+from .posterior import transform_posterior
 from .regress import GaussianPosterior, TrainingData, gp_posterior, phi_rows
 from .seqspace import SequenceSpace
 
@@ -193,29 +189,23 @@ class GaugeGPRegressor(BaseEstimator):
 
         ``coeffs`` holds subsequence text forms or Subsequence objects
         (position tuples for the walsh-hadamard kind); None requests every
-        valid coefficient, which is dense-capped.  Product kernels go through
-        the factorized fast path; others stream the kernel over the enumerated
-        space under the size guard.
+        valid coefficient, which is dense-capped.  The rows come from
+        :func:`seqgp.gauges.transform_rows` and the posterior from
+        :func:`seqgp.posterior.transform_posterior`, exactly as in
+        ``seqgp posterior``; that engine picks the route from the kernel
+        (factorized for product kernels, streamed over the enumerated space
+        under the size guard for the others).
         """
         self._check_fitted()
-        space, kernel = self.space_, self.kernel_
+        space = self.space_
         if coeffs is None:
             keys = all_transform_keys(kind, space, reference)
         else:
             keys = [parse_coefficient_key(kind, c, space) if isinstance(c, str) else c
                     for c in coeffs]
-        if isinstance(kernel, ProductKernel) and kind == "gauge-weights":
-            if reference is not None:
-                raise ParameterError(
-                    "transform kind 'gauge-weights' takes no reference sequence")
-            return gauge_weight_posterior(self.gauge_, kernel, self.data_, keys,
-                                          want_covariance)
-        gauge_arg = self.gauge_ if kind in ("gauge-weights", "hierarchical") else None
-        transform = transform_rows(kind, space, keys, gauge=gauge_arg, reference=reference)
-        if isinstance(kernel, ProductKernel):
-            return transform_posterior(
-                TransformPosteriorRequest(kernel, self.data_, transform, want_covariance))
-        return streamed_transform_posterior(transform, kernel, self.data_, want_covariance)
+        gauge = self.gauge_ if kind in ("gauge-weights", "hierarchical") else None
+        transform = transform_rows(kind, space, keys, gauge=gauge, reference=reference)
+        return transform_posterior(transform, self.kernel_, self.data_, want_covariance)
 
     def _check_fitted(self):
         if not hasattr(self, "data_"):

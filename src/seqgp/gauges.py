@@ -289,11 +289,6 @@ class FactorizedTransform:
     def n_rows(self) -> int:
         return len(self.labels)
 
-    def row_at(self, x) -> np.ndarray:
-        """Evaluate every row at one sequence."""
-        x = np.asarray(x)
-        return np.prod(self.factors[:, np.arange(self.factors.shape[1]), x], axis=1)
-
     def dense_matrix(self, space: SequenceSpace) -> np.ndarray:
         """Rows evaluated at every sequence in canonical order.  Dense-capped."""
         X = space.sequences_array()

@@ -40,14 +40,7 @@ from .kernels import (
     wt_induced_entry,
 )
 from . import posterior
-from .posterior import (
-    TransformPosteriorRequest,
-    gauge_weight_posterior,
-    mk_matrix,
-    mkmt_matrix,
-    streamed_transform_posterior,
-    transform_posterior,
-)
+from .posterior import gauge_weight_posterior, mk_matrix, mkmt_matrix, transform_posterior
 from .regress import (
     GaussianPosterior,
     TrainingData,
@@ -69,28 +62,6 @@ DEFAULT_SEED = 20250801
 
 
 # -- dense constructions -----------------------------------------------------
-
-
-@dataclass
-class DenseWorkspace:
-    """Mutually index-consistent dense matrices for one space/kernel/gauge."""
-
-    space: SequenceSpace
-    phi: np.ndarray
-    kernel: np.ndarray
-    projection: np.ndarray
-    penalty: np.ndarray
-    regularizer: np.ndarray
-
-    @classmethod
-    def build(cls, space: SequenceSpace, kernel, gauge: GaugeSpec) -> "DenseWorkspace":
-        phi = space.phi_dense()
-        K = kernel.dense()
-        P = projection_dense(gauge, space)
-        B = b_matrix_dense(gauge, space)
-        Z = B.T @ B
-        lam = phi.T @ np.linalg.inv(K) @ phi + Z
-        return cls(space, phi, K, P, Z, lam)
 
 
 def dense_transform_posterior(M: np.ndarray, K: np.ndarray, data: TrainingData,
@@ -205,7 +176,7 @@ def sample_function_prior(K: np.ndarray, n: int, rng: np.random.Generator) -> np
 
 
 def _gnk_support(neighborhoods, space: SequenceSpace):
-    """Distinct neighborhood subsequence indices and their weight variances."""
+    """Distinct neighborhood subsequences and their weight variances."""
     cleaned = []
     for p, hood in enumerate(neighborhoods, start=1):
         positions = tuple(sorted(set(int(q) for q in hood)))
@@ -218,16 +189,16 @@ def _gnk_support(neighborhoods, space: SequenceSpace):
     for positions in dict.fromkeys(cleaned):
         var = 1.0 / len(positions)
         for chars in np.ndindex(*([space.alpha] * len(positions))):
-            support.append(space.subsequence_index(Subsequence(positions, tuple(chars))))
+            support.append(Subsequence(positions, tuple(chars)))
             variances.append(var)
-    return np.asarray(support), np.asarray(variances)
+    return support, np.asarray(variances)
 
 
 def gnk_weight_variances(neighborhoods, space: SequenceSpace) -> np.ndarray:
     """Diagonal of the implied weight covariance over all subsequences."""
-    idx, var = _gnk_support(neighborhoods, space)
+    support, var = _gnk_support(neighborhoods, space)
     out = np.zeros(space.n_subsequences)
-    out[idx] = var
+    out[[space.subsequence_index(s) for s in support]] = var
     return out
 
 
@@ -237,12 +208,13 @@ def gnk_sample(neighborhoods, space: SequenceSpace, n: int,
 
     Each distinct neighborhood contributes one weight per choice of
     characters, drawn with variance one over the neighborhood size; all other
-    weights are zero.  Returns the function vectors of the sampled weights.
+    weights are zero.  Returns the function vectors of the sampled weights,
+    built from the indicator columns of the neighborhood subsequences alone.
     """
-    idx, var = _gnk_support(neighborhoods, space)
-    phi = space.phi_dense()
-    w = rng.standard_normal((n, idx.size)) * np.sqrt(var)
-    return w @ phi[:, idx].T
+    support, var = _gnk_support(neighborhoods, space)
+    cols = space.indicator_columns(space.sequences_array(), support)
+    w = rng.standard_normal((n, len(support))) * np.sqrt(var)
+    return w @ cols.T
 
 
 def vc_spectral_projectors(space: SequenceSpace) -> list[np.ndarray]:
@@ -689,7 +661,7 @@ def _check_kernel_trick(rng):
                 worst_mk = max(worst_mk,
                                float(np.abs(mk_matrix(transform, kernel, X_all) - M @ K).max()),
                                float(np.abs(mkmt_matrix(transform, kernel) - M @ K @ M.T).max()))
-                got = transform_posterior(TransformPosteriorRequest(kernel, data, transform))
+                got = transform_posterior(transform, kernel, data)
                 want = dense_transform_posterior(M, K, data, space)
                 worst_post = max(worst_post, float(np.abs(got.mean - want.mean).max()),
                                  float(np.abs(got.cov - want.cov).max()))
@@ -698,10 +670,12 @@ def _check_kernel_trick(rng):
 
 
 def _check_streamed_posterior(rng):
-    """The streamed route against the dense oracle, under blocks that split the space raggedly.
+    """Both routes of the engine against the dense oracle, with and without data.
 
-    The block side is below ``alpha**ell`` and does not divide it, so
-    off-diagonal block pairs and a short last block both run.
+    ``vc`` kernels take the streamed route, under a block side below
+    ``alpha**ell`` that does not divide it, so off-diagonal block pairs and a
+    short last block both run; product kernels take the factorized route.
+    Both covariance modes are checked.
     """
     worst = 0.0
     saved = posterior._STREAM_BLOCK
@@ -719,8 +693,8 @@ def _check_streamed_posterior(rng):
                         want = dense_transform_posterior(transform.dense_matrix(space), K,
                                                          data, space)
                         for want_covariance in (True, False):
-                            got = streamed_transform_posterior(transform, kernel, data,
-                                                               want_covariance)
+                            got = transform_posterior(transform, kernel, data,
+                                                      want_covariance)
                             worst = max(worst, float(np.abs(got.mean - want.mean).max()),
                                         float(np.abs(got.var - np.diag(want.cov)).max()))
                             if want_covariance:

@@ -1,20 +1,26 @@
-"""Exact posteriors over factorized linear transforms of the function.
+"""Exact posteriors over linear transforms of the function: one engine.
 
-When the prior kernel factorizes over positions and every row of the
-transform does too, the row-times-kernel and row-times-kernel-times-row
-contractions collapse to per-position sums.  Posterior means and covariances
-of transform coefficients then need only objects of size ``j`` (rows) and
-``t`` (training sequences); nothing of size ``alpha**ell`` is ever built.
+Every coefficient system the package offers (gauge-fixed weights,
+hierarchical, zero-sum, wild-type, background-averaged, Fourier and
+Walsh-Hadamard coefficients) is a factorized transform ``M`` of the
+function, and its posterior is one conditioning step plus the two
+contractions ``M K_X`` and ``M K M'``.  :func:`transform_posterior` is the
+only engine for it; the command line and
+:meth:`seqgp.estimators.GaugeGPRegressor.coefficient_posterior` both build
+the rows with :func:`seqgp.gauges.transform_rows` and call it, and the
+route is chosen inside it from the kernel type alone:
 
-Kernels without that factorization (the isotropic ``vc`` family) take
-:func:`streamed_transform_posterior`, which enumerates the space under the
-size guard but streams the kernel in square blocks: its largest arrays are
-``(j, alpha**ell)``, never ``(alpha**ell, alpha**ell)``.
+- product kernels factorize over positions like the rows do, so both
+  contractions collapse to per-position sums (:func:`mk_matrix`,
+  :func:`mkmt_matrix`).  Only objects of size ``j`` (rows) and ``t``
+  (training sequences) are built; nothing of size ``alpha**ell``.
+- any other kernel (the isotropic ``vc`` family) is streamed: the rows are
+  evaluated on every sequence under the size guard and the kernel is folded
+  in square blocks, so the largest arrays are ``(j, alpha**ell)``, never
+  ``(alpha**ell, alpha**ell)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,35 +32,6 @@ from .regress import GaussianPosterior, TrainingData, whitened_cross
 from .seqspace import Subsequence
 
 
-@dataclass
-class TransformPosteriorRequest:
-    """Everything needed to compute the posterior of transform coefficients."""
-
-    kernel: ProductKernel
-    data: TrainingData
-    transform: FactorizedTransform
-    want_covariance: bool = True
-
-    def __post_init__(self):
-        if not isinstance(self.kernel, ProductKernel):
-            raise ParameterError(
-                "transform posteriors need a product kernel; route other kernels "
-                "through the dense path"
-            )
-        if self.transform.n_rows < 1:
-            raise ParameterError("transform needs at least one row")
-
-
-def mk_row(row_factors, kernel: ProductKernel, y) -> float:
-    """One entry of the transform applied to the kernel: row ``i`` against sequence ``y``."""
-    ys = kernel.space.encode_sequence(y)
-    factors = np.asarray(row_factors, dtype=float)
-    value = 1.0
-    for p in range(kernel.space.length):
-        value *= factors[p] @ kernel.blocks[p][:, ys[p]]
-    return float(value)
-
-
 def mk_matrix(transform: FactorizedTransform, kernel: ProductKernel, X) -> np.ndarray:
     """All rows against all sequences in ``X``, shape ``(j, len(X))``."""
     X = np.asarray(X, dtype=np.int64)
@@ -63,16 +40,6 @@ def mk_matrix(transform: FactorizedTransform, kernel: ProductKernel, X) -> np.nd
     for p in range(kernel.space.length):
         out *= V[:, p, :][:, X[:, p]]
     return out
-
-
-def mkmt_entry(row_i, row_j, kernel: ProductKernel) -> float:
-    """One entry of the transform-kernel-transform contraction."""
-    fi = np.asarray(row_i, dtype=float)
-    fj = np.asarray(row_j, dtype=float)
-    value = 1.0
-    for p in range(kernel.space.length):
-        value *= fi[p] @ kernel.blocks[p] @ fj[p]
-    return float(value)
 
 
 def mkmt_matrix(transform: FactorizedTransform, kernel: ProductKernel) -> np.ndarray:
@@ -86,28 +53,9 @@ def mkmt_diagonal(transform: FactorizedTransform, kernel: ProductKernel) -> np.n
     return np.einsum("jpb,jpb->jp", V, transform.factors).prod(axis=1)
 
 
-def transform_posterior(request: TransformPosteriorRequest,
-                        ladder=JITTER_LADDER) -> GaussianPosterior:
-    """Posterior of the transform coefficients under the product-kernel prior.
-
-    Only ``(j, t)``, ``(t, t)``, and ``(j, j)`` arrays are materialized.  With
-    no training rows the prior over coefficients is returned.
-    """
-    kernel, data, transform = request.kernel, request.data, request.transform
-    labels = list(transform.labels)
-    if data.t == 0:
-        mean, W = np.zeros(transform.n_rows), np.zeros((0, transform.n_rows))
-    else:
-        mean, W = whitened_cross(kernel.matrix(data.X), data,
-                                 mk_matrix(transform, kernel, data.X), ladder)
-    if request.want_covariance:
-        return GaussianPosterior(labels, mean, mkmt_matrix(transform, kernel) - W.T @ W)
-    var = mkmt_diagonal(transform, kernel) - np.einsum("tj,tj->j", W, W)
-    return GaussianPosterior(labels, mean, None, var)
-
-
-# side of the square kernel blocks that streamed_transform_posterior builds
-# and folds in; each block is _STREAM_BLOCK**2 floats (2 MiB at 512)
+# side of the square kernel blocks that the streamed route of
+# transform_posterior builds and folds in; each block is _STREAM_BLOCK**2
+# floats (2 MiB at 512)
 _STREAM_BLOCK = 512
 
 
@@ -138,36 +86,59 @@ def _streamed_mk(M: np.ndarray, kernel, S: np.ndarray) -> np.ndarray:
     return MK
 
 
-def streamed_transform_posterior(transform: FactorizedTransform, kernel, data: TrainingData,
-                                 want_covariance: bool = True,
-                                 ladder=JITTER_LADDER) -> GaussianPosterior:
-    """Posterior of the transform coefficients under any kernel with a ``matrix`` method.
+def transform_posterior(transform: FactorizedTransform, kernel, data: TrainingData,
+                        want_covariance: bool = True,
+                        ladder=JITTER_LADDER) -> GaussianPosterior:
+    """Posterior of the transform coefficients ``M f`` under the kernel's prior.
 
-    The route for kernels without a per-position factorization.  The rows are
-    evaluated on every sequence (``M``, size-guarded) and ``M K`` comes from
-    :func:`_streamed_mk`; ``M K_X`` is its columns at the training sequences
-    and ``M K M'`` is ``(M K) M'``.  Memory is ``O(j alpha**ell)`` plus one
-    kernel block; time is ``O(j alpha**(2 ell))``.  The dense construction in
-    :func:`seqgp.oracle.dense_transform_posterior` arbitrates it.
+    A :class:`~seqgp.kernels.ProductKernel` takes :func:`mk_matrix` for
+    ``M K_X`` and :func:`mkmt_matrix` (or :func:`mkmt_diagonal` when only
+    variances are wanted) for ``M K M'``.  Any other kernel with a ``matrix``
+    method is streamed: ``M`` is evaluated on every sequence (size-guarded)
+    and ``M K`` comes from :func:`_streamed_mk`; ``M K_X`` is its columns at
+    the training sequences and ``M K M'`` is ``(M K) M'``, in
+    ``O(j alpha**ell)`` memory plus one kernel block and
+    ``O(j alpha**(2 ell))`` time.  Both routes condition on the data with
+    :func:`seqgp.regress.whitened_cross`; with no training rows the prior
+    over the coefficients is returned.  The dense construction in
+    :func:`seqgp.oracle.dense_transform_posterior` arbitrates both.
     """
-    space = kernel.space
-    space.require_dense(space.n_sequences, "streamed transform posterior")
-    S = space.sequences_array()
-    M = np.asfortranarray(transform.dense_matrix(space))
-    MK = _streamed_mk(M, kernel, S)
+    if transform.n_rows < 1:
+        raise ParameterError("transform needs at least one row")
+    # the routes differ in order: the product route builds K_XX and M K_X
+    # before M K M', so no (j, j, ell) einsum temporary is alive next to
+    # K_XX; the streamed route needs M K for both terms, so builds it first
+    if isinstance(kernel, ProductKernel):
+        def cross():
+            return mk_matrix(transform, kernel, data.X)
+
+        def prior():
+            if want_covariance:
+                return mkmt_matrix(transform, kernel)
+            return mkmt_diagonal(transform, kernel)
+    else:
+        space = kernel.space
+        space.require_dense(space.n_sequences, "streamed transform posterior")
+        M = np.asfortranarray(transform.dense_matrix(space))
+        MK = _streamed_mk(M, kernel, space.sequences_array())
+
+        def cross():
+            return MK[:, space.sequence_indices(data.X)]
+
+        def prior():
+            return _matmul_nt(MK, M) if want_covariance else np.einsum("jn,jn->j", MK, M)
+
     labels = list(transform.labels)
     if data.t == 0:
         mean, W = np.zeros(transform.n_rows), np.zeros((0, transform.n_rows))
     else:
-        mean, W = whitened_cross(kernel.matrix(data.X), data,
-                                 MK[:, space.sequence_indices(data.X)], ladder)
+        mean, W = whitened_cross(kernel.matrix(data.X), data, cross(), ladder)
     if want_covariance:
-        return GaussianPosterior(labels, mean, _matmul_nt(MK, M) - W.T @ W)
-    var = np.einsum("jn,jn->j", MK, M) - np.einsum("tj,tj->j", W, W)
-    return GaussianPosterior(labels, mean, None, var)
+        return GaussianPosterior(labels, mean, prior() - W.T @ W)
+    return GaussianPosterior(labels, mean, None, prior() - np.einsum("tj,tj->j", W, W))
 
 
-def gauge_weight_posterior(gauge: GaugeSpec, kernel: ProductKernel, data: TrainingData,
+def gauge_weight_posterior(gauge: GaugeSpec, kernel, data: TrainingData,
                            subsequences: list[Subsequence], want_covariance: bool = True,
                            ladder=JITTER_LADDER) -> GaussianPosterior:
     """Posterior over gauge-fixed weights for the requested subsequences.
@@ -178,5 +149,4 @@ def gauge_weight_posterior(gauge: GaugeSpec, kernel: ProductKernel, data: Traini
     reduction in :func:`seqgp.oracle.gauge_weight_posterior_closed_form`.
     """
     transform = transform_rows("gauge-weights", kernel.space, subsequences, gauge=gauge)
-    return transform_posterior(
-        TransformPosteriorRequest(kernel, data, transform, want_covariance), ladder)
+    return transform_posterior(transform, kernel, data, want_covariance, ladder)

@@ -102,15 +102,8 @@ class GaussianPosterior:
 
 def phi_rows(space: SequenceSpace, X) -> np.ndarray:
     """Indicator feature rows for the given sequences, one column per subsequence."""
-    X = np.asarray(X, dtype=np.int64)
     space.require_dense(space.n_subsequences, "indicator feature rows")
-    out = np.ones((X.shape[0], space.n_subsequences))
-    for j, sub in enumerate(space.enumerate_subsequences()):
-        col = np.ones(X.shape[0], dtype=bool)
-        for p, c in zip(sub.positions, sub.chars):
-            col &= X[:, p - 1] == c
-        out[:, j] = col
-    return out
+    return space.indicator_columns(X)
 
 
 # -- the four estimators -----------------------------------------------------

@@ -298,6 +298,27 @@ class SequenceSpace:
         self.validate_subsequence(sub)
         return int(all(xs[p - 1] == c for p, c in zip(sub.positions, sub.chars)))
 
+    def indicator_columns(self, X, subsequences=None) -> np.ndarray:
+        """Indicator features of the sequences ``X``, one column per subsequence.
+
+        Entry ``(i, k)`` is ``1`` iff ``X[i]`` carries ``subsequences[k]``,
+        so callers that need only a few columns never build the rest.  None
+        streams every subsequence in canonical order (dense-capped) without
+        holding them in a list.
+        """
+        X = np.asarray(X, dtype=np.int64)
+        if subsequences is None:
+            n_columns, subsequences = self.n_subsequences, self.enumerate_subsequences()
+        else:
+            n_columns = len(subsequences)
+        out = np.ones((X.shape[0], n_columns))
+        for j, sub in enumerate(subsequences):
+            col = np.ones(X.shape[0], dtype=bool)
+            for p, c in zip(sub.positions, sub.chars):
+                col &= X[:, p - 1] == c
+            out[:, j] = col
+        return out
+
     def phi_dense(self) -> np.ndarray:
         """Dense indicator matrix, sequences by subsequences.  Dense-capped.
 
@@ -306,14 +327,7 @@ class SequenceSpace:
         """
         self.require_dense(self.n_sequences, "dense indicator matrix rows")
         self.require_dense(self.n_subsequences, "dense indicator matrix columns")
-        X = self.sequences_array()
-        phi = np.ones((self.n_sequences, self.n_subsequences))
-        for j, sub in enumerate(self.enumerate_subsequences()):
-            col = np.ones(self.n_sequences, dtype=bool)
-            for p, c in zip(sub.positions, sub.chars):
-                col &= X[:, p - 1] == c
-            phi[:, j] = col
-        return phi
+        return self.indicator_columns(self.sequences_array())
 
     # -- text forms -------------------------------------------------------
 

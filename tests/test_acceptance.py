@@ -24,7 +24,6 @@ from seqgp import (
     SequenceSpace,
     Subsequence,
     TrainingData,
-    TransformPosteriorRequest,
     VcKernel,
     bayes_weight_posterior,
     binomial,
@@ -164,7 +163,7 @@ def test_criterion_3_kernel_trick_exactness():
         X = space.sequences_array()[rng.integers(0, space.n_sequences, size=t)]
         data = TrainingData(X, rng.standard_normal(t), 0.5)
         for kind, transform, gauge in _kind_transforms(space, rng):
-            got = transform_posterior(TransformPosteriorRequest(kernel, data, transform))
+            got = transform_posterior(transform, kernel, data)
             want = dense_transform_posterior(transform.dense_matrix(space), K, data, space)
             worst = max(worst, float(np.abs(got.mean - want.mean).max()),
                         float(np.abs(got.cov - want.cov).max()))

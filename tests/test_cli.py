@@ -334,6 +334,27 @@ class TestHugeIntegers:
         err = capsys.readouterr().err
         assert "error[CONFIG]" in err and "dense prior kernel" in err
 
+    def test_gnk_draws_build_only_the_neighborhood_columns(self, tmp_path):
+        # ab/11 has 177,147 subsequences, so the whole indicator matrix would
+        # take 2.9 GB; the draws need only 44 of its columns (0.7 MB)
+        import tracemalloc
+        from unittest import mock
+
+        hoods = [[p, p % 11 + 1] for p in range(1, 12)]
+        cfg = write_config(tmp_path, {"length": 11, "simulate": {
+            "samples": 2, "source": "gnk", "neighborhoods": hoods}})
+        out = tmp_path / "draws.csv"
+        with mock.patch.object(SequenceSpace, "phi_dense", side_effect=AssertionError("built")):
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "--config", cfg, "--seed", "1", "--out", str(out)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 2 ** 11 + 1
+        assert peak < 4 * 2 ** 20
+
 
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):

@@ -13,7 +13,8 @@ from seqgp import (
 )
 from seqgp.estimators import GaugeGPRegressor, SubsequenceFeaturizer, check_sequences
 from seqgp.oracle import dense_transform_posterior
-from seqgp.gauges import projection_dense, transform_rows
+from seqgp.gauges import TRANSFORM_KINDS, all_transform_keys, projection_dense, transform_rows
+from seqgp.posterior import transform_posterior
 
 from conftest import rand_product_kernel
 
@@ -161,6 +162,30 @@ class TestGaugeGPRegressor:
         post = est.coefficient_posterior(["-", "1:a", "1:b;2:b"], kind=kind)
         assert calls == [kind]
         assert post.mean.shape == (3,)
+
+    @pytest.mark.parametrize("want_covariance", [True, False])
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    @pytest.mark.parametrize("kernel", [{"family": "geometric", "beta": 0.5},
+                                        {"family": "vc", "lambdas": [1.0, 0.5, 0.25]}],
+                             ids=["product", "vc"])
+    def test_coefficient_posterior_is_the_engine_on_the_same_rows(self, kernel, kind,
+                                                                  want_covariance):
+        est = make_regressor(kernel=kernel).fit(TRAIN_X, TRAIN_Y)
+        sp = est.space_
+        reference = "ab" if kind in ("wild-type", "background-averaged") else None
+        post = est.coefficient_posterior(kind=kind, reference=reference,
+                                         want_covariance=want_covariance)
+        gauge = est.gauge_ if kind in ("gauge-weights", "hierarchical") else None
+        rows = transform_rows(kind, sp, all_transform_keys(kind, sp, reference), gauge=gauge,
+                              reference=reference)
+        want = transform_posterior(rows, est.kernel_, est.data_, want_covariance)
+        assert post.labels == want.labels
+        np.testing.assert_array_equal(post.mean, want.mean)
+        np.testing.assert_array_equal(post.var, want.var)
+        if want_covariance:
+            np.testing.assert_array_equal(post.cov, want.cov)
+        else:
+            assert post.cov is None and want.cov is None
 
     def test_gauge_weights_reject_reference(self):
         est = make_regressor().fit(TRAIN_X, TRAIN_Y)

@@ -10,9 +10,8 @@ from seqgp import (
     gauge_weight_posterior,
     gp_posterior,
 )
-from seqgp.gauges import b_matrix_dense, penalty_dense
+from seqgp.gauges import b_matrix_dense
 from seqgp.oracle import (
-    DenseWorkspace,
     check_orthogonality,
     dense_transform_posterior,
     gauge_weight_posterior_closed_form,
@@ -136,17 +135,6 @@ class TestCheckOrthogonality:
         A = L.T @ phi
         B = b_matrix_dense(gauge, ab2)
         np.testing.assert_allclose(A.T @ A + B.T @ B, lam, atol=1e-10)
-
-
-class TestDenseWorkspace:
-    def test_consistency(self, ab2, rng):
-        kernel = rand_product_kernel(ab2, rng)
-        gauge = rand_gauge(ab2, rng)
-        ws = DenseWorkspace.build(ab2, kernel, gauge)
-        assert ws.phi.shape == (4, 9)
-        np.testing.assert_allclose(ws.penalty, penalty_dense(gauge, ab2), atol=1e-12)
-        np.testing.assert_allclose(ws.regularizer,
-                                   build_theta_regularizer(kernel, gauge, ab2), atol=1e-8)
 
 
 class TestDenseTransformPosterior:

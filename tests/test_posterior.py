@@ -14,16 +14,12 @@ from seqgp import (
     SizeGuardError,
     Subsequence,
     TrainingData,
-    TransformPosteriorRequest,
     VcKernel,
     bayes_weight_posterior,
     build_theta_regularizer,
     gauge_weight_posterior,
     gp_posterior,
     marginalization_residual,
-    mk_row,
-    mkmt_entry,
-    streamed_transform_posterior,
     transform_posterior,
     transform_rows,
 )
@@ -51,15 +47,15 @@ class TestMkRow:
     def test_delta_row_reads_kernel(self, ab2, rng):
         kernel = rand_product_kernel(ab2, rng)
         t = _delta_transform(ab2, "ab")
-        for y in ab2.enumerate_sequences():
-            assert mk_row(t.factors[0], kernel, y) == pytest.approx(kernel.entry("ab", y))
+        want = [kernel.entry("ab", y) for y in ab2.enumerate_sequences()]
+        assert mk_matrix(t, kernel, ab2.sequences_array())[0].tolist() == pytest.approx(want)
 
     def test_zero_sum_row_identity_blocks(self):
         sp = SequenceSpace("ab", 1)
         kernel = ProductKernel([np.eye(2)], sp)
         t = transform_rows("zero-sum", sp, [EMPTY_SUBSEQUENCE])
-        for y in ("a", "b"):
-            assert mk_row(t.factors[0], kernel, y) == pytest.approx(0.5)
+        row = mk_matrix(t, kernel, sp.encode_batch(["a", "b"]))[0]
+        assert row.tolist() == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("space_idx", range(4))
     def test_matches_dense(self, space_idx, rng):
@@ -77,8 +73,9 @@ class TestMkmt:
         sp = SequenceSpace("ab", 1)
         kernel = ProductKernel([np.eye(2)], sp)
         t = transform_rows("zero-sum", sp, [EMPTY_SUBSEQUENCE, Subsequence((1,), (0,))])
-        assert mkmt_entry(t.factors[0], t.factors[0], kernel) == pytest.approx(0.5)
-        assert mkmt_entry(t.factors[0], t.factors[1], kernel) == pytest.approx(0.0)
+        G = mkmt_matrix(t, kernel)
+        assert G[0, 0] == pytest.approx(0.5)
+        assert G[0, 1] == pytest.approx(0.0)
 
     def test_symmetry(self, ab2, rng):
         kernel = rand_product_kernel(ab2, rng)
@@ -100,7 +97,7 @@ class TestTransformPosterior:
     def test_empty_training_gives_prior(self, ab2, rng):
         kernel = rand_product_kernel(ab2, rng)
         t = transform_rows("zero-sum", ab2, ab2.subsequences())
-        post = transform_posterior(TransformPosteriorRequest(kernel, _empty_data(ab2), t))
+        post = transform_posterior(t, kernel, _empty_data(ab2))
         np.testing.assert_array_equal(post.mean, 0.0)
         np.testing.assert_allclose(post.cov, mkmt_matrix(t, kernel), atol=1e-14)
 
@@ -108,7 +105,7 @@ class TestTransformPosterior:
         kernel = rand_product_kernel(ab2, rng)
         data = rand_data(ab2, rng, 3, 0.5)
         t = _delta_transform(ab2, "ba")
-        post = transform_posterior(TransformPosteriorRequest(kernel, data, t))
+        post = transform_posterior(t, kernel, data)
         gp = gp_posterior(kernel, data, ["ba"], ab2)
         assert post.mean[0] == pytest.approx(gp.mean[0], abs=1e-12)
         assert post.cov[0, 0] == pytest.approx(gp.cov[0, 0], abs=1e-12)
@@ -120,7 +117,7 @@ class TestTransformPosterior:
         data = rand_data(sp, rng, max(2, sp.n_sequences // 2), 0.3)
         gauge = rand_gauge(sp, rng)
         t = transform_rows("gauge-weights", sp, sp.subsequences(), gauge=gauge)
-        got = transform_posterior(TransformPosteriorRequest(kernel, data, t))
+        got = transform_posterior(t, kernel, data)
         want = dense_transform_posterior(t.dense_matrix(sp), kernel.dense(), data, sp)
         np.testing.assert_allclose(got.mean, want.mean, atol=1e-8)
         np.testing.assert_allclose(got.cov, want.cov, atol=1e-8)
@@ -129,17 +126,27 @@ class TestTransformPosterior:
         kernel = rand_product_kernel(ab2, rng)
         data = rand_data(ab2, rng, 3, 0.5)
         t = transform_rows("zero-sum", ab2, ab2.subsequences())
-        full = transform_posterior(TransformPosteriorRequest(kernel, data, t, True))
-        diag = transform_posterior(TransformPosteriorRequest(kernel, data, t, False))
+        full = transform_posterior(t, kernel, data, True)
+        diag = transform_posterior(t, kernel, data, False)
         assert diag.cov is None
         np.testing.assert_allclose(diag.var, np.diag(full.cov), atol=1e-12)
         np.testing.assert_allclose(diag.mean, full.mean, atol=1e-14)
 
-    def test_vc_kernel_rejected(self, ab2, rng):
+    def test_vc_kernel_matches_dense_oracle(self, ab2, rng):
         k = VcKernel([1.0, 0.5, 0.2], ab2)
+        data = rand_data(ab2, rng, 3, 0.5)
         t = transform_rows("zero-sum", ab2, ab2.subsequences())
-        with pytest.raises(ParameterError, match="product kernel"):
-            TransformPosteriorRequest(k, _empty_data(ab2), t)
+        got = transform_posterior(t, k, data)
+        want = dense_transform_posterior(t.dense_matrix(ab2), k.dense(), data, ab2)
+        np.testing.assert_allclose(got.mean, want.mean, atol=1e-8)
+        np.testing.assert_allclose(got.cov, want.cov, atol=1e-8)
+
+    @pytest.mark.parametrize("family", ["product", "vc"])
+    def test_needs_rows(self, ab2, rng, family):
+        kernel = rand_product_kernel(ab2, rng) if family == "product" else rand_vc_kernel(ab2, rng)
+        t = transform_rows("zero-sum", ab2, [])
+        with pytest.raises(ParameterError, match="at least one row"):
+            transform_posterior(t, kernel, _empty_data(ab2))
 
 
 class TestStreamedTransformPosterior:
@@ -152,7 +159,7 @@ class TestStreamedTransformPosterior:
     def test_empty_training_gives_prior(self, ab3, rng):
         kernel = rand_vc_kernel(ab3, rng)
         t = transform_rows("zero-sum", ab3, ab3.subsequences())
-        post = streamed_transform_posterior(t, kernel, _empty_data(ab3))
+        post = transform_posterior(t, kernel, _empty_data(ab3))
         M = t.dense_matrix(ab3)
         np.testing.assert_array_equal(post.mean, 0.0)
         np.testing.assert_allclose(post.cov, M @ kernel.dense() @ M.T, rtol=0, atol=1e-12)
@@ -161,8 +168,8 @@ class TestStreamedTransformPosterior:
         kernel = rand_vc_kernel(ab3, rng)
         data = rand_data(ab3, rng, 4, 0.5)
         t = transform_rows("zero-sum", ab3, ab3.subsequences())
-        full = streamed_transform_posterior(t, kernel, data, want_covariance=True)
-        diag = streamed_transform_posterior(t, kernel, data, want_covariance=False)
+        full = transform_posterior(t, kernel, data, want_covariance=True)
+        diag = transform_posterior(t, kernel, data, want_covariance=False)
         assert diag.cov is None
         assert full.labels == diag.labels == t.labels
         np.testing.assert_allclose(diag.var, np.diag(full.cov), rtol=0, atol=1e-12)
@@ -173,7 +180,7 @@ class TestStreamedTransformPosterior:
         kernel = VcKernel(np.ones(22), sp)
         t = transform_rows("zero-sum", sp, [EMPTY_SUBSEQUENCE])
         with pytest.raises(SizeGuardError, match="streamed"):
-            streamed_transform_posterior(t, kernel, _empty_data(sp))
+            transform_posterior(t, kernel, _empty_data(sp))
 
 
 def test_streamed_posterior_never_builds_the_dense_kernel(monkeypatch, rng):
@@ -190,7 +197,7 @@ def test_streamed_posterior_never_builds_the_dense_kernel(monkeypatch, rng):
     kernel.matrix(data.X[:1])  # loads scipy's BLAS outside the traced region
     tracemalloc.start()
     try:
-        post = streamed_transform_posterior(t, kernel, data)
+        post = transform_posterior(t, kernel, data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -238,7 +245,7 @@ class TestGaugeWeightPosterior:
         subs = ab3.subsequences()[:10]
         got = gauge_weight_posterior(gauge, kernel, data, subs)
         t = transform_rows("gauge-weights", ab3, subs, gauge=gauge)
-        want = transform_posterior(TransformPosteriorRequest(kernel, data, t))
+        want = transform_posterior(t, kernel, data)
         np.testing.assert_allclose(got.mean, want.mean, atol=1e-10)
         np.testing.assert_allclose(got.cov, want.cov, atol=1e-10)
 

@@ -24,9 +24,7 @@ from seqgp import (
     ProductKernel,
     SequenceSpace,
     TrainingData,
-    TransformPosteriorRequest,
     VcKernel,
-    streamed_transform_posterior,
     transform_posterior,
     transform_rows,
 )
@@ -176,7 +174,7 @@ def test_transform_posterior_matches_dense_oracle(alpha, ell, t, family, kind,
     else:
         gauge = rand_gauge(space, rng) if kind == "gauge-weights" else None
         rows = transform_rows(kind, space, space.subsequences(), gauge=gauge)
-    got = transform_posterior(TransformPosteriorRequest(kernel, data, rows, want_covariance))
+    got = transform_posterior(rows, kernel, data, want_covariance)
     want = dense_transform_posterior(rows.dense_matrix(space), kernel.dense(), data, space)
     np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-8)
     np.testing.assert_allclose(got.var, np.diag(want.cov), rtol=0, atol=1e-8)
@@ -198,7 +196,7 @@ def test_streamed_posterior_matches_dense_oracle(alpha, ell, t, vc, side, want_c
     data = TrainingData(rng.integers(0, alpha, size=(t, ell)), rng.standard_normal(t), 0.3)
     rows = transform_rows("zero-sum", space, space.subsequences())
     with mock.patch.object(posterior, "_STREAM_BLOCK", side):
-        got = streamed_transform_posterior(rows, kernel, data, want_covariance)
+        got = transform_posterior(rows, kernel, data, want_covariance)
     want = dense_transform_posterior(rows.dense_matrix(space), kernel.dense(), data, space)
     np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-8)
     np.testing.assert_allclose(got.var, np.diag(want.cov), rtol=0, atol=1e-8)
