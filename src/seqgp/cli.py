@@ -39,6 +39,7 @@ from .errors import (
 )
 from .gauges import (
     GaugeSpec,
+    KIND_RULES,
     TRANSFORM_KINDS,
     gauge_from_config,
     parse_coefficient_key,
@@ -107,12 +108,13 @@ class RunConfig:
 
         transform = _block(raw, "transform", _TRANSFORM_KEYS)
         kind = _typed(transform, "kind", str, "gauge-weights")
-        if kind not in TRANSFORM_KINDS:
+        if kind not in KIND_RULES:
             raise ConfigError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
+        rules = KIND_RULES[kind]
         reference = _typed(transform, "reference", str, None)
-        if reference is not None and kind in ("gauge-weights", "hierarchical", "zero-sum"):
+        if reference is not None and rules.reference == "refused":
             raise ConfigError(f"transform kind {kind!r} takes no reference sequence")
-        if kind in ("walsh-hadamard",) and space.alpha != 2:
+        if rules.binary and space.alpha != 2:
             raise ConfigError(f"transform kind {kind!r} requires a two-character alphabet")
 
         output = _block(raw, "output", _OUTPUT_KEYS)
@@ -279,12 +281,14 @@ def parse_query(entries: list[str], kind: str, space: SequenceSpace) -> list:
 # -- output -------------------------------------------------------------------
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{float(value):.{precision}g}"
+def _fmt_row(values, precision: int) -> list[str]:
+    """Every value as ``%.<precision>g`` text (``nan``, ``inf`` and ``-0`` included)."""
+    return list(map(f"%.{precision}g".__mod__, np.asarray(values, dtype=float).tolist()))
 
 
-def _rounded(value: float, precision: int) -> float:
-    return float(_fmt(value, precision))
+def _rounded(values, precision: int) -> list[float]:
+    """Every value rounded to its printed text, for JSON output."""
+    return [float(text) for text in _fmt_row(values, precision)]
 
 
 class _Writer:
@@ -304,26 +308,27 @@ class _Writer:
 
 def _emit_posterior_table(fh, command: str, post, covariance: bool, precision: int,
                           as_json: bool, id_column: str):
+    cov = post.cov if covariance else None
+    means, sds = _fmt_row(post.mean, precision), _fmt_row(post.sd, precision)
     if as_json:
         rows = []
         for i, label in enumerate(post.labels):
-            row = {id_column: label, "mean": _rounded(post.mean[i], precision),
-                   "sd": _rounded(post.sd[i], precision)}
-            if covariance and post.cov is not None:
-                row["cov"] = [_rounded(v, precision) for v in post.cov[i]]
+            row = {id_column: label, "mean": float(means[i]), "sd": float(sds[i])}
+            if cov is not None:
+                row["cov"] = _rounded(cov[i], precision)
             rows.append(row)
         json.dump({"command": command, "coefficients": rows}, fh, indent=2)
         fh.write("\n")
         return
     fh.write(f"# seqgp {command}\n")
     header = [id_column, "mean", "sd"]
-    if covariance and post.cov is not None:
+    if cov is not None:
         header += [f"cov:{label}" for label in post.labels]
     fh.write("\t".join(header) + "\n")
     for i, label in enumerate(post.labels):
-        fields = [label, _fmt(post.mean[i], precision), _fmt(post.sd[i], precision)]
-        if covariance and post.cov is not None:
-            fields += [_fmt(v, precision) for v in post.cov[i]]
+        fields = [label, means[i], sds[i]]
+        if cov is not None:
+            fields += _fmt_row(cov[i], precision)
         fh.write("\t".join(fields) + "\n")
 
 
@@ -335,7 +340,7 @@ def _cmd_posterior(args, cfg: RunConfig):
     kernel = cfg.kernel()
     data = parse_training_csv(args.data, space, cfg.training_noise())
     keys = parse_query(_query_entries(args), cfg.transform_kind, space)
-    gauge = cfg.gauge() if cfg.transform_kind in ("gauge-weights", "hierarchical") else None
+    gauge = cfg.gauge() if KIND_RULES[cfg.transform_kind].gauge else None
     transform = transform_rows(cfg.transform_kind, space, keys, gauge=gauge,
                                reference=cfg.reference)
     post = transform_posterior(transform, kernel, data, want_covariance=cfg.covariance,
@@ -390,19 +395,19 @@ def _cmd_kernel_eval(args, cfg: RunConfig):
                           space.encode_sequence(row[1].strip())))
         except (ParameterError, DimensionError) as exc:
             raise DataError(f"{args.data}:{lineno}: {exc}") from exc
-    values = [float(kernel.matrix(np.asarray([x]), np.asarray([y]))[0, 0]) for x, y in pairs]
+    values = _fmt_row([kernel.matrix(np.asarray([x]), np.asarray([y]))[0, 0] for x, y in pairs],
+                      cfg.precision)
     with _Writer(args.out) as fh:
         if args.json:
             body = [{"x": space.format_sequence(x), "y": space.format_sequence(y),
-                     "value": _rounded(v, cfg.precision)}
+                     "value": float(v)}
                     for (x, y), v in zip(pairs, values)]
             json.dump({"command": "kernel-eval", "entries": body}, fh, indent=2)
             fh.write("\n")
         else:
             fh.write("# seqgp kernel-eval\nx\ty\tvalue\n")
             for (x, y), v in zip(pairs, values):
-                fh.write(f"{space.format_sequence(x)}\t{space.format_sequence(y)}\t"
-                         f"{_fmt(v, cfg.precision)}\n")
+                fh.write(f"{space.format_sequence(x)}\t{space.format_sequence(y)}\t{v}\n")
     return 0
 
 
@@ -420,14 +425,14 @@ def _cmd_build_regularizer(args, cfg: RunConfig):
     with _Writer(args.out) as fh:
         if args.json:
             json.dump({"command": "build-regularizer", "labels": labels,
-                       "matrix": [[_rounded(v, cfg.precision) for v in row] for row in lam]},
+                       "matrix": [_rounded(row, cfg.precision) for row in lam]},
                       fh, indent=2)
             fh.write("\n")
         else:
             writer = csv.writer(fh)
             writer.writerow(["label"] + labels)
             for label, row in zip(labels, lam):
-                writer.writerow([label] + [_fmt(v, cfg.precision) for v in row])
+                writer.writerow([label] + _fmt_row(row, cfg.precision))
     return 0
 
 
@@ -451,8 +456,8 @@ def _cmd_simulate(args, cfg: RunConfig):
     with _Writer(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sequence"] + [f"sample_{i + 1}" for i in range(n)])
-        for i, label in enumerate(labels):
-            writer.writerow([label] + [_fmt(samples[k, i], cfg.precision) for k in range(n)])
+        for label, row in zip(labels, samples.T):
+            writer.writerow([label] + _fmt_row(row, cfg.precision))
     return 0
 
 

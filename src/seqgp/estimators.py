@@ -18,6 +18,7 @@ from .gauges import (
     GaugeSpec,
     ProductDistribution,
     all_transform_keys,
+    kind_rules,
     parse_coefficient_key,
     transform_rows,
 )
@@ -77,8 +78,6 @@ def _resolve_kernel(kernel, space: SequenceSpace):
         if kernel.space != space:
             raise ParameterError("kernel was built for a different space")
         return kernel
-    if isinstance(kernel, GeometricKernelSpec):
-        return kernel.to_product(space)
     if hasattr(kernel, "to_product"):
         return kernel.to_product(space)
     raise ParameterError(f"unsupported kernel specification {kernel!r}")
@@ -198,12 +197,12 @@ class GaugeGPRegressor(BaseEstimator):
         """
         self._check_fitted()
         space = self.space_
+        gauge = self.gauge_ if kind_rules(kind).gauge else None
         if coeffs is None:
             keys = all_transform_keys(kind, space, reference)
         else:
             keys = [parse_coefficient_key(kind, c, space) if isinstance(c, str) else c
                     for c in coeffs]
-        gauge = self.gauge_ if kind in ("gauge-weights", "hierarchical") else None
         transform = transform_rows(kind, space, keys, gauge=gauge, reference=reference)
         return transform_posterior(transform, self.kernel_, self.data_, want_covariance)
 

@@ -11,6 +11,10 @@ probability distribution ``pi``.  The module provides:
 * rows of position-factorized linear maps from function space to
   interpretable coefficients (gauge-fixed weights, epistasis coefficients,
   Fourier/Walsh-Hadamard coefficients).
+
+Each coefficient system is one transform kind.  :data:`KIND_RULES` states
+once what each kind takes and which keys it accepts, and every kind's rows
+are its background table with its member rows scattered in at the key.
 """
 
 from __future__ import annotations
@@ -22,16 +26,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InvalidIndexError, ParameterError
 from .seqspace import SequenceSpace, Subsequence
-
-TRANSFORM_KINDS = (
-    "gauge-weights",
-    "hierarchical",
-    "zero-sum",
-    "wild-type",
-    "background-averaged",
-    "fourier",
-    "walsh-hadamard",
-)
 
 _PROB_TOL = 1e-12
 
@@ -264,6 +258,14 @@ def marginalization_residual(w, gauge: GaugeSpec, space: SequenceSpace) -> float
 # -- factorized transforms ---------------------------------------------------
 
 
+def _evaluate_rows(tables: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``out[i, n] = prod_p tables[i, p, X[n, p]]``, shape ``(j, len(X))``."""
+    out = np.ones((tables.shape[0], X.shape[0]))
+    for p in range(X.shape[1]):
+        out *= tables[:, p, :][:, X[:, p]]
+    return out
+
+
 @dataclass
 class FactorizedTransform:
     """Rows of a linear map out of function space, factorized by position.
@@ -291,32 +293,93 @@ class FactorizedTransform:
 
     def dense_matrix(self, space: SequenceSpace) -> np.ndarray:
         """Rows evaluated at every sequence in canonical order.  Dense-capped."""
-        X = space.sequences_array()
-        M = np.ones((self.n_rows, space.n_sequences))
-        for p in range(space.length):
-            M *= self.factors[:, p, :][:, X[:, p]]
-        return M
+        return _evaluate_rows(self.factors, space.sequences_array())
 
 
-def gauge_weight_factors(gauge: GaugeSpec, sub: Subsequence, space: SequenceSpace) -> np.ndarray:
-    """Per-position factor table of one gauge-fixed-weight row."""
-    eta, pi = gauge.eta, gauge.pi
-    table = np.empty((space.length, space.alpha))
-    members = dict(zip(sub.positions, sub.chars))
-    for p in range(1, space.length + 1):
-        base = pi[p] * eta
-        if p in members:
-            table[p - 1] = -base
-            table[p - 1, members[p]] += 1.0
-        else:
-            table[p - 1] = base
-    return table
+@dataclass(frozen=True)
+class KindRules:
+    """What one transform kind takes, and which keys it accepts."""
+
+    gauge: bool  # reads a GaugeSpec (gauge-weights its eta and pi, hierarchical its pi)
+    reference: str  # "required", "optional" (default: character 0 everywhere) or "refused"
+    off_reference: bool  # keys avoid the reference: alpha - 1 characters per position
+    binary: bool = False  # two-character alphabets only
+    by_positions: bool = False  # keys are position sets; the rows ignore the characters
+    named: bool = False  # row labels start with "<kind>:"
 
 
-def _require_reference(space, reference, kind):
+KIND_RULES = {
+    "gauge-weights": KindRules(gauge=True, reference="refused", off_reference=False),
+    "hierarchical": KindRules(gauge=True, reference="refused", off_reference=False),
+    "zero-sum": KindRules(gauge=False, reference="refused", off_reference=False),
+    "wild-type": KindRules(gauge=False, reference="required", off_reference=True),
+    "background-averaged": KindRules(gauge=False, reference="required", off_reference=True,
+                                     named=True),
+    "fourier": KindRules(gauge=False, reference="optional", off_reference=True, named=True),
+    "walsh-hadamard": KindRules(gauge=False, reference="optional", off_reference=False,
+                                binary=True, by_positions=True, named=True),
+}
+TRANSFORM_KINDS = tuple(KIND_RULES)
+
+
+def kind_rules(kind: str) -> KindRules:
+    """The rules of a transform kind; ParameterError for an unknown name."""
+    if kind not in KIND_RULES:
+        raise ParameterError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
+    return KIND_RULES[kind]
+
+
+def _reference(kind: str, space: SequenceSpace, reference) -> tuple | None:
+    """The encoded reference of a kind, its default, or None when it takes none."""
+    rule = KIND_RULES[kind].reference
     if reference is None:
-        raise ParameterError(f"transform kind {kind!r} requires a reference sequence")
+        if rule == "required":
+            raise ParameterError(f"transform kind {kind!r} requires a reference sequence")
+        return (0,) * space.length if rule == "optional" else None
+    if rule == "refused":
+        raise ParameterError(f"transform kind {kind!r} takes no reference sequence")
     return space.encode_sequence(reference)
+
+
+def _kind_tables(kind: str, space: SequenceSpace, gauge: GaugeSpec | None, ref):
+    """``(background, members)`` of a kind, shapes ``(ell, alpha)`` and ``(ell, alpha, alpha)``.
+
+    ``background[p]`` is the factor row of a position outside the key and
+    ``members[p, c]`` the row of a position the key sets to ``c``.  Only
+    entries at off-reference ``c`` are read for off-reference kinds.
+    """
+    ell, alpha = space.length, space.alpha
+    diag = np.arange(alpha)
+    if kind in ("gauge-weights", "hierarchical", "zero-sum"):
+        eta = gauge.eta if kind == "gauge-weights" else 1.0
+        pi = ProductDistribution.uniform(space) if kind == "zero-sum" else gauge.pi
+        background = pi.probs * eta
+        members = np.repeat(-background[:, None, :], alpha, axis=1)
+        # +1 on the diagonal only: adding a whole identity would turn the
+        # -0.0 entries of a point-mass pi or eta = 0 into +0.0
+        members[:, diag, diag] += 1.0
+        return background, members
+    e_ref = np.zeros((ell, alpha))
+    e_ref[np.arange(ell), ref] = 1.0
+    root = math.sqrt(alpha)
+    if kind == "fourier":
+        members = np.repeat(np.where(e_ref == 1.0, 1.0, -1.0 / (root - 1.0))[:, None, :],
+                            alpha, axis=1)
+        members[:, diag, diag] += root
+        return np.full((ell, alpha), 1.0 / root), members / root
+    if kind == "walsh-hadamard":
+        rows = np.where(e_ref == 1.0, 1.0 / root, -1.0 / root)
+        return np.full((ell, alpha), 1.0 / root), np.repeat(rows[:, None, :], alpha, axis=1)
+    # wild-type and background-averaged: e_c - e_ref at every key position
+    members = np.eye(alpha) - e_ref[:, None, :]
+    return (e_ref if kind == "wild-type" else np.full((ell, alpha), 1.0 / alpha)), members
+
+
+def _position_set(key, space: SequenceSpace) -> tuple[int, ...]:
+    positions = tuple(sorted(int(p) for p in key))
+    if any(not 1 <= p <= space.length for p in positions) or len(set(positions)) != len(positions):
+        raise InvalidIndexError(f"bad position set {key!r}")
+    return positions
 
 
 def transform_rows(kind: str, space: SequenceSpace, keys,
@@ -324,129 +387,66 @@ def transform_rows(kind: str, space: SequenceSpace, keys,
     """Build the factorized rows of a named transform for the given keys.
 
     ``keys`` holds subsequences for every kind except ``walsh-hadamard``,
-    which is indexed by position tuples.  Kinds anchored to a reference
-    sequence (``wild-type``, ``background-averaged``) accept only
-    subsequences that differ from the reference at every included position;
-    ``fourier`` does the same against its reference allele (default: index 0
-    at every position).
+    which is indexed by position tuples.  What each kind takes and accepts
+    is stated once, in :data:`KIND_RULES`.  Every row starts as the kind's
+    background table; one scatter then writes the member row of each
+    position a key fixes (see :func:`_kind_tables`).
     """
-    if kind not in TRANSFORM_KINDS:
-        raise ParameterError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
-    ell, alpha = space.length, space.alpha
-
-    if kind in ("wild-type", "background-averaged"):
-        ref = _require_reference(space, reference, kind)
-    elif kind in ("fourier", "walsh-hadamard"):
-        ref = space.encode_sequence(reference) if reference is not None else (0,) * ell
-    elif reference is not None:
-        raise ParameterError(f"transform kind {kind!r} takes no reference sequence")
-    if kind == "gauge-weights":
-        if gauge is None:
-            raise ParameterError("gauge-weights rows need a GaugeSpec")
-    elif kind == "hierarchical":
-        if gauge is None:
-            raise ParameterError("hierarchical rows need a GaugeSpec for its pi")
-        gauge = GaugeSpec(1.0, gauge.pi)
-    elif gauge is not None:
+    rules = kind_rules(kind)
+    ref = _reference(kind, space, reference)
+    if rules.gauge and gauge is None:
+        raise ParameterError(f"{kind} rows need a GaugeSpec"
+                             + (" for its pi" if kind == "hierarchical" else ""))
+    if not rules.gauge and gauge is not None:
         raise ParameterError(f"transform kind {kind!r} takes no gauge")
-    if kind == "zero-sum":
-        gauge = GaugeSpec(1.0, ProductDistribution.uniform(space))
-    if kind == "walsh-hadamard" and alpha != 2:
-        raise ParameterError("walsh-hadamard rows are defined only for two-character alphabets")
+    if rules.binary and space.alpha != 2:
+        raise ParameterError(f"{kind} rows are defined only for two-character alphabets")
 
-    labels, factors, kept_keys = [], [], []
-    for key in keys:
-        if kind == "walsh-hadamard":
-            positions = tuple(sorted(int(p) for p in key))
-            if any(not 1 <= p <= ell for p in positions) or len(set(positions)) != len(positions):
-                raise InvalidIndexError(f"bad position set {key!r}")
-            label = "walsh-hadamard:" + (";".join(str(p) for p in positions) or "-")
-            table = np.full((ell, alpha), 1.0 / math.sqrt(alpha))
-            for p in positions:
-                row = np.full(alpha, -1.0 / math.sqrt(alpha))
-                row[ref[p - 1]] = 1.0 / math.sqrt(alpha)
-                table[p - 1] = row
-            labels.append(label)
-            factors.append(table)
-            kept_keys.append(positions)
-            continue
-
-        sub = space.validate_subsequence(key)
-        if kind in ("gauge-weights", "hierarchical", "zero-sum"):
-            table = gauge_weight_factors(gauge, sub, space)
-            label = space.format_subsequence(sub)
-        elif kind == "wild-type":
-            _check_off_reference(space, sub, ref, kind)
-            table = np.zeros((ell, alpha))
-            table[np.arange(ell), ref] = 1.0
-            for p, c in zip(sub.positions, sub.chars):
-                row = np.zeros(alpha)
-                row[c] += 1.0
-                row[ref[p - 1]] -= 1.0
-                table[p - 1] = row
-            label = space.format_subsequence(sub)
-        elif kind == "background-averaged":
-            _check_off_reference(space, sub, ref, kind)
-            table = np.full((ell, alpha), 1.0 / alpha)
-            for p, c in zip(sub.positions, sub.chars):
-                row = np.zeros(alpha)
-                row[c] += 1.0
-                row[ref[p - 1]] -= 1.0
-                table[p - 1] = row
-            label = "background-averaged:" + space.format_subsequence(sub)
-        elif kind == "fourier":
-            _check_off_reference(space, sub, ref, kind)
-            root = math.sqrt(alpha)
-            table = np.full((ell, alpha), 1.0 / root)
-            for p, c in zip(sub.positions, sub.chars):
-                row = np.full(alpha, -1.0 / (root - 1.0))
-                row[ref[p - 1]] = 1.0
-                row[c] += root
-                table[p - 1] = row / root
-            label = "fourier:" + space.format_subsequence(sub)
-        labels.append(label)
-        factors.append(table)
-        kept_keys.append(sub)
-
-    return FactorizedTransform(labels, np.asarray(factors).reshape(len(labels), ell, alpha),
-                               kept_keys)
-
-
-def _check_off_reference(space, sub: Subsequence, ref, kind: str) -> None:
-    for p, c in zip(sub.positions, sub.chars):
-        if c == ref[p - 1]:
+    prefix = f"{kind}:" if rules.named else ""
+    if rules.by_positions:
+        kept = [_position_set(key, space) for key in keys]
+        # the member rows do not depend on the character; scatter index 0
+        subs = [Subsequence(p, (0,) * len(p)) for p in kept]
+        labels = [prefix + (";".join(map(str, p)) or "-") for p in kept]
+    else:
+        kept = subs = [space.validate_subsequence(key) for key in keys]
+        labels = [prefix + space.format_subsequence(sub) for sub in subs]
+    rows = np.repeat(np.arange(len(subs)), [sub.size for sub in subs])
+    pos = np.fromiter((p - 1 for sub in subs for p in sub.positions), np.intp, rows.size)
+    chars = np.fromiter((c for sub in subs for c in sub.chars), np.intp, rows.size)
+    if rules.off_reference:
+        on_ref = np.flatnonzero(chars == np.asarray(ref)[pos])
+        if on_ref.size:
+            first = on_ref[0]
             raise InvalidIndexError(
-                f"{space.format_subsequence(sub)!r} matches the reference at position {p}; "
+                f"{space.format_subsequence(subs[rows[first]])!r} matches the reference at "
+                f"position {pos[first] + 1}; "
                 f"{kind} coefficients are defined only off the reference"
             )
+    background, members = _kind_tables(kind, space, gauge, ref)
+    factors = np.broadcast_to(background, (len(subs),) + background.shape).copy()
+    factors[rows, pos] = members[pos, chars]
+    return FactorizedTransform(labels, factors, kept)
 
 
 def all_transform_keys(kind: str, space: SequenceSpace, reference=None) -> list:
     """Every valid coefficient key for a kind, in canonical order.  Dense-capped."""
-    if kind == "walsh-hadamard":
-        space.require_dense(2 ** space.length, "walsh-hadamard key enumeration")
-        out = []
-        for mask in range(2 ** space.length):
-            out.append(tuple(p + 1 for p in range(space.length) if mask >> p & 1))
-        return out
-    if kind in ("wild-type", "background-averaged", "fourier"):
-        if reference is not None:
-            ref = space.encode_sequence(reference)
-        elif kind == "fourier":
-            ref = (0,) * space.length
-        else:
-            raise ParameterError(f"transform kind {kind!r} requires a reference sequence")
-        keys = []
-        for sub in space.enumerate_subsequences():
-            if all(c != ref[p - 1] for p, c in zip(sub.positions, sub.chars)):
-                keys.append(sub)
-        return keys
-    return space.subsequences()
+    rules = kind_rules(kind)
+    ref = _reference(kind, space, reference)
+    if rules.by_positions:
+        space.require_dense(2 ** space.length, f"{kind} key enumeration")
+        return [tuple(p + 1 for p in range(space.length) if mask >> p & 1)
+                for mask in range(2 ** space.length)]
+    subs = space.subsequences()
+    if not rules.off_reference:
+        return subs
+    return [sub for sub in subs
+            if all(c != ref[p - 1] for p, c in zip(sub.positions, sub.chars))]
 
 
 def parse_coefficient_key(kind: str, text: str, space: SequenceSpace):
     """Parse one coefficient key in its text form for the given kind."""
-    if kind == "walsh-hadamard":
+    if kind_rules(kind).by_positions:
         text = text.strip()
         if text == "-":
             return ()

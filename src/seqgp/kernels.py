@@ -216,11 +216,12 @@ def _matmul_nt(a, b) -> np.ndarray:
     OpenBLAS; numpy bundles a second one with its own thread pool.  A numpy
     product right before a scipy factorization made the two pools contend:
     with two BLAS threads a t=200 posterior ran 2-4x slower and its timing
-    turned bimodal.
+    turned bimodal.  BLAS gets ``b.T`` and ``a.T``, Fortran-ordered views of
+    C-ordered operands, so neither is copied (Fortran-ordered ones would be).
     """
     from scipy.linalg.blas import dgemm
 
-    return dgemm(1.0, b, a, trans_b=True).T
+    return dgemm(1.0, b.T, a.T, trans_a=True).T
 
 
 def _one_hot(X, alpha: int) -> np.ndarray:

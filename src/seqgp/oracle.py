@@ -18,7 +18,9 @@ from ._linalg import JITTER_LADDER, SpdSolver
 from .errors import NumericalError, ParameterError
 from .gauges import (
     GaugeSpec,
+    KIND_RULES,
     ProductDistribution,
+    all_transform_keys,
     b_matrix_dense,
     marginalization_residual,
     penalty_dense,
@@ -537,15 +539,13 @@ def _check_transform_vs_projection(rng):
         worst_red = max(worst_red,
                         float(np.abs(wt.dense_matrix(space) - gw_pm.dense_matrix(space)).max()))
         if space.alpha == 2:
-            ref = wt_ref
-            off = [s for s in subs
-                   if all(c != ref[p - 1] for p, c in zip(s.positions, s.chars))]
-            ba = transform_rows("background-averaged", space, off,
-                                reference=ref).dense_matrix(space)
-            wh = transform_rows("walsh-hadamard", space, [s.positions for s in off],
-                                reference=ref).dense_matrix(space)
+            ba = transform_rows("background-averaged", space, off_ref,
+                                reference=wt_ref).dense_matrix(space)
+            wh = transform_rows("walsh-hadamard", space, [s.positions for s in off_ref],
+                                reference=wt_ref).dense_matrix(space)
             # mutant-positive vs reference-positive rows differ by (-1)^|S|
-            scale = np.array([(-2.0) ** s.size / math.sqrt(2.0 ** space.length) for s in off])
+            scale = np.array([(-2.0) ** s.size / math.sqrt(2.0 ** space.length)
+                              for s in off_ref])
             worst_red = max(worst_red, float(np.abs(ba - scale[:, None] * wh).max()))
     return [("gauge-weight-rows-match-projection", worst, 1e-12),
             ("transform-reductions", worst_red, 1e-12)]
@@ -628,23 +628,16 @@ def _check_regularizer_orthogonality(rng):
 
 
 def _all_kind_transforms(space, rng):
-    """One small transform per kind, with valid keys for each."""
-    subs = space.subsequences()
+    """One small transform per kind, with every valid key of each."""
     gauge = _rand_gauge(space, rng)
     ref = space.sequences_array()[rng.integers(0, space.n_sequences)]
-    off_ref = [s for s in subs if all(c != ref[p - 1] for p, c in zip(s.positions, s.chars))]
-    off_zero = [s for s in subs if all(c != 0 for c in s.chars)]
-    out = [
-        transform_rows("gauge-weights", space, subs, gauge=gauge),
-        transform_rows("hierarchical", space, subs, gauge=gauge),
-        transform_rows("zero-sum", space, subs),
-        transform_rows("wild-type", space, off_ref, reference=ref),
-        transform_rows("background-averaged", space, off_ref, reference=ref),
-        transform_rows("fourier", space, off_zero),
-    ]
-    if space.alpha == 2:
-        masks = [s.positions for s in off_zero]
-        out.append(transform_rows("walsh-hadamard", space, masks))
+    out = []
+    for kind, rules in KIND_RULES.items():
+        if rules.binary and space.alpha != 2:
+            continue
+        reference = ref if rules.reference == "required" else None
+        out.append(transform_rows(kind, space, all_transform_keys(kind, space, reference),
+                                  gauge=gauge if rules.gauge else None, reference=reference))
     return out
 
 

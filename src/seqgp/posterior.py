@@ -26,20 +26,16 @@ import numpy as np
 
 from ._linalg import JITTER_LADDER
 from .errors import ParameterError
-from .gauges import FactorizedTransform, GaugeSpec, transform_rows
-from .kernels import ProductKernel, _matmul_nt
+from .gauges import FactorizedTransform, GaugeSpec, _evaluate_rows, transform_rows
+from .kernels import ProductKernel
 from .regress import GaussianPosterior, TrainingData, whitened_cross
 from .seqspace import Subsequence
 
 
 def mk_matrix(transform: FactorizedTransform, kernel: ProductKernel, X) -> np.ndarray:
     """All rows against all sequences in ``X``, shape ``(j, len(X))``."""
-    X = np.asarray(X, dtype=np.int64)
     V = np.einsum("jpa,pab->jpb", transform.factors, kernel.blocks)
-    out = np.ones((transform.n_rows, X.shape[0]))
-    for p in range(kernel.space.length):
-        out *= V[:, p, :][:, X[:, p]]
-    return out
+    return _evaluate_rows(V, np.asarray(X, dtype=np.int64))
 
 
 def mkmt_matrix(transform: FactorizedTransform, kernel: ProductKernel) -> np.ndarray:
@@ -117,6 +113,8 @@ def transform_posterior(transform: FactorizedTransform, kernel, data: TrainingDa
                 return mkmt_matrix(transform, kernel)
             return mkmt_diagonal(transform, kernel)
     else:
+        from scipy.linalg.blas import dgemm
+
         space = kernel.space
         space.require_dense(space.n_sequences, "streamed transform posterior")
         M = np.asfortranarray(transform.dense_matrix(space))
@@ -126,7 +124,9 @@ def transform_posterior(transform: FactorizedTransform, kernel, data: TrainingDa
             return MK[:, space.sequence_indices(data.X)]
 
         def prior():
-            return _matmul_nt(MK, M) if want_covariance else np.einsum("jn,jn->j", MK, M)
+            if want_covariance:  # (M (MK)')', with the Fortran-ordered operands uncopied
+                return dgemm(1.0, M, MK, trans_b=True).T
+            return np.einsum("jn,jn->j", MK, M)
 
     labels = list(transform.labels)
     if data.t == 0:

@@ -289,16 +289,15 @@ def phit_kinv_phi_geometric(spec: GeometricKernelSpec, sub_row: Subsequence,
 
 def prior_penalty_dense(kernel, space: SequenceSpace) -> np.ndarray:
     """Dense prior part of the weight penalty, from the per-family closed forms."""
-    subs = space.subsequences()
-    out = np.empty((len(subs), len(subs)))
     if isinstance(kernel, VcKernel):
         entry = lambda a, b: phit_kinv_phi_vc(kernel, a, b)
     elif isinstance(kernel, ProductKernel):
         entry = lambda a, b: phit_kinv_phi_product(kernel, a, b)
     else:
-        phi = space.phi_dense()
-        kinv = inv_spd(kernel.dense())
-        return phi.T @ kinv @ phi
+        raise ParameterError(f"the weight penalty needs a VcKernel or ProductKernel, "
+                             f"got {type(kernel).__name__}")
+    subs = space.subsequences()
+    out = np.empty((len(subs), len(subs)))
     for a, sub_row in enumerate(subs):
         out[a, a] = entry(sub_row, sub_row)
         for b in range(a + 1, len(subs)):

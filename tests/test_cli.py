@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -464,3 +465,19 @@ def test_vc_posterior_table_matches_dense_oracle(tmp_path, monkeypatch):
     scale = np.abs(expected).max()
     np.testing.assert_allclose(got, expected, rtol=10.0 ** (1 - precision),
                                atol=scale * 10.0 ** -(precision + 2))
+
+
+def test_row_formatter_matches_per_value_format():
+    from seqgp.cli import _fmt_row, _rounded
+
+    values = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -2.5, 1e-300, -5e-324,
+                       1.7976931348623157e308, 0.1 + 0.2, 123456789.123456789, -1 / 3])
+    for precision in (1, 6, 10, 17):
+        want = [f"{float(v):.{precision}g}" for v in values]
+        assert _fmt_row(values, precision) == want
+        assert _fmt_row(list(values), precision) == want
+        got = _rounded(values, precision)
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, float(w))
+                                                         for w in want]
+        assert [repr(v) for v in got] == [repr(float(w)) for w in want]
+    assert _fmt_row(np.empty(0), 10) == []

@@ -199,6 +199,13 @@ class TestGaugeGPRegressor:
         est.fit(TRAIN_X, TRAIN_Y)
         assert est.kernel_ is kernel
 
+    def test_kernel_spec_parameter(self):
+        from seqgp import GeometricKernelSpec
+
+        est = make_regressor(kernel=GeometricKernelSpec(0.3)).fit(TRAIN_X, TRAIN_Y)
+        want = GeometricKernelSpec(0.3).to_product(est.space_)
+        np.testing.assert_array_equal(est.kernel_.blocks, want.blocks)
+
     def test_gauge_spec_parameter(self):
         sp = SequenceSpace("ab", 2)
         gauge = GaugeSpec(0.5, ProductDistribution.uniform(sp))

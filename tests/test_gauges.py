@@ -21,14 +21,17 @@ from seqgp import (
     transform_rows,
 )
 from seqgp.gauges import (
+    KIND_RULES,
+    TRANSFORM_KINDS,
     all_transform_keys,
     b_matrix_dense,
     b_matrix_row,
     gauge_from_config,
+    kind_rules,
     parse_coefficient_key,
 )
 
-from conftest import rand_pi, small_spaces
+from conftest import rand_gauge, rand_pi, small_spaces
 
 
 class TestEtaFromLambda:
@@ -289,6 +292,217 @@ class TestTransformRows:
             transform_rows("zero-sum", sp, sp.subsequences(), reference="a")
         with pytest.raises(ParameterError):
             transform_rows("wild-type", sp, [EMPTY_SUBSEQUENCE])  # reference missing
+
+
+def textbook_entry(kind, space, key, x, gauge, ref) -> float:
+    """One row of a kind at one sequence, written out position by position."""
+    alpha, root = space.alpha, math.sqrt(space.alpha)
+    if kind == "walsh-hadamard":
+        signs = [1.0 if x[p - 1] == ref[p - 1] else -1.0 for p in key]
+        return math.prod(signs) * alpha ** (-space.length / 2)
+    if kind == "zero-sum":
+        eta, pi = 1.0, np.full((space.length, alpha), 1.0 / alpha)
+    elif kind in ("gauge-weights", "hierarchical"):
+        eta = gauge.eta if kind == "gauge-weights" else 1.0
+        pi = gauge.pi.probs
+    fixed = dict(zip(key.positions, key.chars))
+    value = 1.0
+    for p in range(1, space.length + 1):
+        xp, r = x[p - 1], ref[p - 1] if ref is not None else None
+        if p in fixed:
+            c = fixed[p]
+            if kind in ("gauge-weights", "hierarchical", "zero-sum"):
+                value *= (xp == c) - eta * pi[p - 1, xp]
+            elif kind in ("wild-type", "background-averaged"):
+                value *= (xp == c) - (xp == r)
+            else:  # fourier
+                value *= ((xp == r) + root * (xp == c) - (xp != r) / (root - 1.0)) / root
+        elif kind in ("gauge-weights", "hierarchical", "zero-sum"):
+            value *= eta * pi[p - 1, xp]
+        elif kind == "wild-type":
+            value *= float(xp == r)
+        else:
+            value /= alpha if kind == "background-averaged" else root
+    return value
+
+
+def loop_factors(kind, space, keys, gauge, ref) -> np.ndarray:
+    """Factor tables built key by key and position by position, with the same arithmetic."""
+    ell, alpha, root = space.length, space.alpha, math.sqrt(space.alpha)
+    if kind in ("gauge-weights", "hierarchical", "zero-sum"):
+        eta = gauge.eta if kind == "gauge-weights" else 1.0
+        pi = (ProductDistribution.uniform(space) if kind == "zero-sum" else gauge.pi).probs
+    out = []
+    for key in keys:
+        table = np.empty((ell, alpha))
+        for p in range(ell):
+            if kind in ("gauge-weights", "hierarchical", "zero-sum"):
+                table[p] = pi[p] * eta
+            elif kind == "wild-type":
+                table[p] = 0.0
+                table[p, ref[p]] = 1.0
+            else:
+                table[p] = 1.0 / alpha if kind == "background-averaged" else 1.0 / root
+        if kind == "walsh-hadamard":
+            fixed = [(p, 0) for p in key]
+        else:
+            fixed = zip(key.positions, key.chars)
+        for p, c in fixed:
+            r = ref[p - 1] if ref is not None else None
+            if kind in ("gauge-weights", "hierarchical", "zero-sum"):
+                row = -(pi[p - 1] * eta)
+                row[c] += 1.0
+            elif kind in ("wild-type", "background-averaged"):
+                row = np.zeros(alpha)
+                row[c] += 1.0
+                row[r] -= 1.0
+            elif kind == "fourier":
+                row = np.full(alpha, -1.0 / (root - 1.0))
+                row[r] = 1.0
+                row[c] += root
+                row = row / root
+            else:
+                row = np.full(alpha, -1.0 / root)
+                row[r] = 1.0 / root
+            table[p - 1] = row
+        out.append(table)
+    return np.asarray(out).reshape(len(keys), ell, alpha)
+
+
+class TestKindRules:
+    def test_every_kind_has_rules(self):
+        assert set(TRANSFORM_KINDS) == set(KIND_RULES)
+        for kind in TRANSFORM_KINDS:
+            rules = kind_rules(kind)
+            assert rules.reference in ("required", "optional", "refused")
+            assert not (rules.gauge and rules.reference != "refused")
+
+    def test_unknown_kind_named_in_error(self):
+        with pytest.raises(ParameterError, match="unknown transform kind 'anova'"):
+            kind_rules("anova")
+        with pytest.raises(ParameterError, match="unknown transform kind"):
+            all_transform_keys("anova", SequenceSpace("ab", 1))
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_transform_rows_follow_the_rules(self, kind):
+        sp = SequenceSpace("ab", 2)
+        rules = KIND_RULES[kind]
+        g = GaugeSpec(0.5, ProductDistribution.uniform(sp))
+        keys = [()] if rules.by_positions else [EMPTY_SUBSEQUENCE]
+        gauge = g if rules.gauge else None
+        reference = "aa" if rules.reference == "required" else None
+        transform_rows(kind, sp, keys, gauge=gauge, reference=reference)
+        with pytest.raises(ParameterError, match="(?i)gauge"):
+            transform_rows(kind, sp, keys, gauge=None if rules.gauge else g,
+                           reference=reference)
+        if rules.reference == "refused":
+            with pytest.raises(ParameterError, match="takes no reference"):
+                transform_rows(kind, sp, keys, gauge=gauge, reference="aa")
+        elif rules.reference == "required":
+            with pytest.raises(ParameterError, match="requires a reference"):
+                transform_rows(kind, sp, keys)
+        if rules.binary:
+            with pytest.raises(ParameterError, match="two-character"):
+                transform_rows(kind, SequenceSpace("abc", 2), keys, reference=reference)
+        if rules.off_reference:
+            with pytest.raises(InvalidIndexError, match="off the reference"):
+                transform_rows(kind, sp, [Subsequence((2,), (0,))], reference="aa")
+
+    @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+    def test_all_keys_choose_alpha_or_alpha_minus_one_characters(self, kind):
+        sp = SequenceSpace("ab" if KIND_RULES[kind].binary else "abc", 2)
+        reference = "ba" if KIND_RULES[kind].reference == "required" else None
+        rules = KIND_RULES[kind]
+        per_position = 1 if rules.by_positions else sp.alpha - rules.off_reference
+        assert len(all_transform_keys(kind, sp, reference)) == (1 + per_position) ** sp.length
+
+
+class TestTransformRowsTextbook:
+    @pytest.mark.parametrize("kind,alphabet,length", [
+        (kind, alphabet, length) for kind in TRANSFORM_KINDS
+        for alphabet, length in (("ab", 3), ("abc", 2), ("ACGT", 3))
+        if len(alphabet) == 2 or not KIND_RULES[kind].binary])
+    def test_dense_matrix_matches_definition(self, kind, alphabet, length, rng):
+        sp = SequenceSpace(alphabet, length)
+        rules = KIND_RULES[kind]
+        gauge = rand_gauge(sp, rng) if rules.gauge else None
+        given = "".join(alphabet[(3 * p + 1) % sp.alpha] for p in range(length))
+        reference = None if rules.reference == "refused" else given
+        ref = sp.encode_sequence(given) if reference is not None else None
+        keys = all_transform_keys(kind, sp, reference)
+        M = transform_rows(kind, sp, keys, gauge=gauge, reference=reference).dense_matrix(sp)
+        want = np.array([[textbook_entry(kind, sp, key, x, gauge, ref)
+                          for x in sp.enumerate_sequences()] for key in keys])
+        np.testing.assert_allclose(M, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind,alphabet,length", [
+        (kind, alphabet, length) for kind in TRANSFORM_KINDS
+        for alphabet, length in (("ab", 3), ("abc", 2), ("ACGT", 3))
+        if len(alphabet) == 2 or not KIND_RULES[kind].binary])
+    def test_factors_bitwise_equal_to_per_key_loop(self, kind, alphabet, length, rng):
+        # the pi and eta of the gauge kinds include a point mass and eta = 0,
+        # where the member rows carry -0.0 entries
+        sp = SequenceSpace(alphabet, length)
+        rules = KIND_RULES[kind]
+        given = "".join(alphabet[(2 * p + 1) % sp.alpha] for p in range(length))
+        reference = None if rules.reference == "refused" else given
+        ref = sp.encode_sequence(given) if reference is not None else None
+        if reference is None and rules.reference == "optional":
+            ref = (0,) * length
+        keys = all_transform_keys(kind, sp, reference)
+        gauges = [None]
+        if rules.gauge:
+            gauges = [rand_gauge(sp, rng), rand_gauge(sp, rng, eta=0.0),
+                      GaugeSpec(0.5, ProductDistribution.point_mass(sp, given))]
+        for gauge in gauges:
+            got = transform_rows(kind, sp, keys, gauge=gauge, reference=reference).factors
+            assert got.tobytes() == loop_factors(kind, sp, keys, gauge, ref).tobytes()
+
+    def test_default_references_are_character_zero(self):
+        sp = SequenceSpace("ab", 2)
+        for kind, keys in (("fourier", [Subsequence((1, 2), (1, 1))]),
+                           ("walsh-hadamard", [(1, 2)])):
+            default = transform_rows(kind, sp, keys).factors
+            assert default.tobytes() == transform_rows(kind, sp, keys, reference="aa"
+                                                       ).factors.tobytes()
+
+
+class TestSignedZeros:
+    # gauge-weight member rows carry -0.0 where eta * pi is 0 (a point mass,
+    # or eta = 0); adding a whole identity matrix to them, instead of +1 on
+    # the diagonal only, would turn those entries into +0.0
+    KEYS = ("-", "1:a", "2:b", "1:b;2:a")
+    SIGNBIT = [[[0, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]]]
+
+    def rows(self, gauge, sp):
+        keys = [sp.parse_subsequence(k) for k in self.KEYS]
+        return transform_rows("gauge-weights", sp, keys, gauge=gauge).factors
+
+    def test_point_mass_pi(self):
+        sp = SequenceSpace("ab", 2)
+        factors = self.rows(GaugeSpec.from_lambda(2.0, ProductDistribution.point_mass(sp, "ba")),
+                            sp)
+        np.testing.assert_array_equal(np.signbit(factors), self.SIGNBIT)
+        assert factors[3, 0, 1] == pytest.approx(1.0 / 3.0)
+
+    def test_eta_zero(self):
+        sp = SequenceSpace("ab", 2)
+        factors = self.rows(GaugeSpec(0.0, ProductDistribution([[0.3, 0.7], [0.5, 0.5]], sp)),
+                            sp)
+        np.testing.assert_array_equal(np.signbit(factors), self.SIGNBIT)
+        np.testing.assert_array_equal(np.abs(factors).sum(axis=2), [[0, 0], [1, 0], [0, 1], [1, 1]])
+
+
+class TestCallersNameNoKind:
+    @pytest.mark.parametrize("module", ["cli.py", "estimators.py"])
+    def test_only_the_default_kind_is_named(self, module):
+        import ast
+        from pathlib import Path
+
+        source = (Path(__file__).resolve().parent.parent / "src" / "seqgp" / module).read_text()
+        strings = {node.value for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert strings & set(TRANSFORM_KINDS) == {"gauge-weights"}
 
 
 class TestCoefficientKeys:

@@ -7,6 +7,7 @@ seed.  The command-line examples draw whole JSON configs.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -284,7 +285,9 @@ def _cli_runs(draw):
         for step in path[:-1]:
             parent = parent[step]
         if draw(st.booleans()) or isinstance(parent, list):
-            parent[path[-1]] = draw(_BAD)
+            # a fresh copy: a later step may write inside a list or dict
+            # replacement, which must not change the shared _BAD entry
+            parent[path[-1]] = copy.deepcopy(draw(_BAD))
         else:
             del parent[path[-1]]
     command = draw(st.sampled_from(["posterior", "predict", "kernel-eval",

@@ -343,3 +343,13 @@ class TestPriorPenaltyDense:
 
     def test_phi_rows_match_phi_dense(self, ab2):
         np.testing.assert_array_equal(phi_rows(ab2, ab2.sequences_array()), ab2.phi_dense())
+
+    def test_other_kernels_rejected(self, ab2, rng):
+        class DenseOnly:
+            space = ab2
+
+            def dense(self):
+                return np.eye(ab2.n_sequences)
+
+        with pytest.raises(ParameterError, match="VcKernel or ProductKernel"):
+            prior_penalty_dense(DenseOnly(), ab2)
